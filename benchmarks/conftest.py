@@ -7,9 +7,16 @@ writes the rendered text to ``benchmarks/out/`` for inspection.
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 OUT_DIR = Path(__file__).parent / "out"
+
+# Benchmarks share oracles with the test suite (``tests.train.overlap_oracle``);
+# make the repo root importable when pytest runs from inside benchmarks/.
+_REPO_ROOT = str(Path(__file__).resolve().parent.parent)
+if _REPO_ROOT not in sys.path:
+    sys.path.append(_REPO_ROOT)
 
 
 def emit(name: str, text: str) -> None:

@@ -242,6 +242,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _unknown_allreduce(names) -> bool:
+    """Print the registry's error for the first unknown allreduce name."""
+    from repro.mpi.collectives import allreduce_compiler
+
+    try:
+        for name in names:
+            allreduce_compiler(name)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return True
+    return False
+
+
 def _cmd_table1(_args) -> int:
     from repro.analysis import render_table1
 
@@ -302,14 +315,9 @@ def _cmd_epoch(args) -> int:
 
 
 def _cmd_allreduce(args) -> int:
-    from repro.mpi import ALLREDUCE_ALGORITHMS, simulate_allreduce
+    from repro.mpi import simulate_allreduce
 
-    if args.algorithm not in ALLREDUCE_ALGORITHMS:
-        print(
-            f"unknown algorithm {args.algorithm!r}; "
-            f"choose from {sorted(ALLREDUCE_ALGORITHMS)}",
-            file=sys.stderr,
-        )
+    if _unknown_allreduce([args.algorithm]):
         return 2
     nbytes = int(args.mbytes * MB)
     out = simulate_allreduce(
@@ -329,12 +337,7 @@ def _cmd_allreduce(args) -> int:
 def _cmd_schedule(args) -> int:
     from repro.mpi import ALLREDUCE_COMPILERS, format_schedule, validate_schedule
 
-    if args.algorithm not in ALLREDUCE_COMPILERS:
-        print(
-            f"unknown algorithm {args.algorithm!r}; "
-            f"choose from {sorted(ALLREDUCE_COMPILERS)}",
-            file=sys.stderr,
-        )
+    if _unknown_allreduce([args.algorithm]):
         return 2
     itemsize = 4
     count = max(1, int(args.kib * 1024) // itemsize)
@@ -353,7 +356,7 @@ def _cmd_schedule(args) -> int:
 def _cmd_step(args) -> int:
     from repro.core.calibration import GPU_EFFICIENCY, compute_model_for
     from repro.models.zoo import get_model
-    from repro.mpi import ALLREDUCE_COMPILERS, format_schedule
+    from repro.mpi import format_schedule
     from repro.mpi.datatypes import SizeBuffer
     from repro.mpi.runner import build_world
     from repro.mpi.schedule import ScheduleExecutor, validate_schedule
@@ -367,12 +370,7 @@ def _cmd_step(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.algorithm not in ALLREDUCE_COMPILERS:
-        print(
-            f"unknown algorithm {args.algorithm!r}; "
-            f"choose from {sorted(ALLREDUCE_COMPILERS)}",
-            file=sys.stderr,
-        )
+    if _unknown_allreduce([args.algorithm]):
         return 2
     model = get_model(args.model)
     schedule = compile_model_step(
@@ -653,13 +651,7 @@ def _cmd_chaos(args) -> int:
         algorithms = sorted(ALLREDUCE_COMPILERS)
     else:
         algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
-    unknown = [a for a in algorithms if a not in ALLREDUCE_COMPILERS]
-    if unknown:
-        print(
-            f"unknown algorithm(s) {unknown}; "
-            f"choose from {sorted(ALLREDUCE_COMPILERS)}",
-            file=sys.stderr,
-        )
+    if _unknown_allreduce(algorithms):
         return 2
     kinds = (
         DEFAULT_KINDS
@@ -766,13 +758,7 @@ def _cmd_verify(args) -> int:
 
     if args.algorithms is not None:
         algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
-        unknown = [a for a in algorithms if a not in ALLREDUCE_COMPILERS]
-        if unknown:
-            print(
-                f"unknown algorithm(s) {unknown}; "
-                f"choose from {sorted(ALLREDUCE_COMPILERS)}",
-                file=sys.stderr,
-            )
+        if _unknown_allreduce(algorithms):
             return 2
     elif args.all:
         algorithms = sorted(ALLREDUCE_COMPILERS)

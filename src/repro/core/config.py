@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.core.calibration import DATASETS
-from repro.mpi.collectives import ALLREDUCE_ALGORITHMS
+from repro.mpi.collectives import allreduce_compiler
 
 __all__ = ["ExperimentConfig"]
 
@@ -42,11 +42,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.n_nodes < 1 or self.gpus_per_node < 1 or self.batch_per_gpu < 1:
             raise ValueError("cluster dimensions must be >= 1")
-        if self.allreduce not in ALLREDUCE_ALGORITHMS:
-            raise ValueError(
-                f"unknown allreduce {self.allreduce!r}; "
-                f"choose from {sorted(ALLREDUCE_ALGORITHMS)}"
-            )
+        allreduce_compiler(self.allreduce)
         if self.dataset not in DATASETS:
             raise ValueError(
                 f"unknown dataset {self.dataset!r}; choose from {sorted(DATASETS)}"

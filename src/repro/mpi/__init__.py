@@ -1,15 +1,16 @@
 """Simulated MPI: an executable, network-timed message-passing layer.
 
-Rank programs are Python generators scheduled on the discrete-event engine;
-messages travel as flows on a :class:`~repro.net.Fabric`, optionally
+Collectives compile to :class:`~repro.mpi.schedule.Schedule` step DAGs run
+by one :class:`~repro.mpi.schedule.ScheduleExecutor` on the discrete-event
+engine; messages travel as flows on a :class:`~repro.net.Fabric`, optionally
 carrying real NumPy payloads so collective *results* are checked against
 ground truth with the very same code that produces collective *timings*.
 """
 
 from repro.mpi.collectives import (
-    ALLREDUCE_ALGORITHMS,
     ALLREDUCE_COMPILERS,
     ALLREDUCE_FAMILIES,
+    allreduce_compiler,
 )
 from repro.mpi.datatypes import ArrayBuffer, Buffer, SizeBuffer, chunk_ranges
 from repro.mpi.runner import (
@@ -35,7 +36,6 @@ from repro.mpi.schedule import (
     SendStep,
     StalledStep,
     diagnose_execution,
-    execute_rank,
     format_schedule,
     memoize_compiler,
     run_guarded,
@@ -44,7 +44,6 @@ from repro.mpi.schedule import (
 from repro.mpi.world import Communicator, Message, MPIWorld
 
 __all__ = [
-    "ALLREDUCE_ALGORITHMS",
     "ALLREDUCE_COMPILERS",
     "ALLREDUCE_FAMILIES",
     "ArrayBuffer",
@@ -68,11 +67,11 @@ __all__ = [
     "SendStep",
     "SizeBuffer",
     "StalledStep",
+    "allreduce_compiler",
     "allreduce_throughput",
     "build_world",
     "chunk_ranges",
     "diagnose_execution",
-    "execute_rank",
     "format_schedule",
     "memoize_compiler",
     "run_guarded",

@@ -54,7 +54,11 @@ import numpy as np
 from repro.data.dimd import DIMDStore, deal_records
 from repro.data.guard import run_shuffle_guarded
 from repro.data.shuffle import ShuffleProgress, distributed_shuffle
-from repro.mpi.collectives import ALLREDUCE_COMPILERS, ALLREDUCE_FAMILIES
+from repro.mpi.collectives import (
+    ALLREDUCE_COMPILERS,
+    ALLREDUCE_FAMILIES,
+    allreduce_compiler,
+)
 from repro.mpi.datatypes import ArrayBuffer
 from repro.mpi.runner import build_world
 from repro.mpi.schedule import (
@@ -480,11 +484,7 @@ def chaos_sweep(
     """Sweep every fault point of every (algorithm, group size) pair."""
     report = ChaosReport()
     for name in algorithms if algorithms is not None else sorted(ALLREDUCE_COMPILERS):
-        if name not in ALLREDUCE_COMPILERS:
-            raise ValueError(
-                f"unknown algorithm {name!r}; "
-                f"choose from {sorted(ALLREDUCE_COMPILERS)}"
-            )
+        allreduce_compiler(name)
         for n in n_ranks:
             points, ref = enumerate_points(
                 name, n, kinds=kinds, count=count, itemsize=itemsize,

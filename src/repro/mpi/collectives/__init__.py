@@ -2,15 +2,20 @@
 
 Every fixed-size collective is a *compiler* that emits a
 :class:`~repro.mpi.schedule.Schedule` (a point-to-point step DAG) executed
-by the single :class:`~repro.mpi.schedule.ScheduleExecutor`.  Two parallel
-registries expose them:
+by the single :class:`~repro.mpi.schedule.ScheduleExecutor`; there is no
+other way to run one.  One registry names the allreduces:
+``ALLREDUCE_COMPILERS`` maps name -> ``compile(n_ranks, count, itemsize,
+*, segment_bytes=..., **kwargs) -> Schedule``, and
+:func:`allreduce_compiler` looks a name up with the one error message
+every caller shares.  Every registered compiler accepts ``segment_bytes``
+(the unsegmented ones ignore it) and returns a zero-step schedule at one
+rank.
 
-* ``ALLREDUCE_ALGORITHMS`` — name -> rank program (generator wrappers with
-  the legacy ``program(comm, rank, buf, tag=...)`` signature, for embedding
-  in larger simulations);
-* ``ALLREDUCE_COMPILERS`` — name -> ``compile(n_ranks, count, itemsize,
-  **kwargs) -> Schedule``, for direct executor-level use (profiling,
-  guarded training collectives, bucketed overlap).
+Only the variable-size collectives — :func:`ring_allgatherv` and the
+shuffle's :func:`alltoallv` — stay generator rank programs (embedded in
+the shuffle's processes, or driven by
+:func:`~repro.mpi.runner.run_rank_programs`): their message sizes depend
+on other ranks' payloads, so they cannot be compiled ahead of time.
 
 Registered allreduce algorithms:
 
@@ -26,45 +31,31 @@ Registered allreduce algorithms:
 * ``"binomial"`` — naive reduce-to-root + broadcast (latency baseline).
 """
 
+from typing import Callable
+
 from repro.mpi.collectives.alltoall import alltoallv, compile_alltoallv
 from repro.mpi.collectives.basic import (
-    binomial_allreduce,
-    binomial_bcast,
-    binomial_reduce,
     compile_binomial_allreduce,
     compile_binomial_bcast,
     compile_binomial_reduce,
     compile_dissemination_barrier,
-    dissemination_barrier,
     ring_allgatherv,
 )
-from repro.mpi.collectives.hierarchical import (
-    compile_hierarchical,
-    hierarchical_allreduce,
-)
+from repro.mpi.collectives.hierarchical import compile_hierarchical
 from repro.mpi.collectives.multicolor import (
     DEFAULT_SEGMENT_BYTES,
     compile_multicolor,
-    multicolor_allreduce,
     segments_of,
 )
 from repro.mpi.collectives.recursive import (
     compile_rabenseifner,
     compile_recursive_doubling,
-    rabenseifner_allreduce,
-    recursive_doubling_allreduce,
 )
-from repro.mpi.collectives.ring import (
-    compile_pipelined_ring,
-    pipelined_ring_allreduce,
-)
+from repro.mpi.collectives.ring import compile_pipelined_ring
 from repro.mpi.collectives.rsag import (
     compile_ring_allgather,
     compile_ring_reduce_scatter,
     compile_rsag,
-    reduce_scatter_allgather_allreduce,
-    ring_allgather,
-    ring_reduce_scatter,
 )
 from repro.mpi.collectives.trees import (
     Tree,
@@ -73,21 +64,10 @@ from repro.mpi.collectives.trees import (
     internal_nodes,
     kary_bfs_tree,
 )
-
-ALLREDUCE_ALGORITHMS = {
-    "multicolor": multicolor_allreduce,
-    "ring": pipelined_ring_allreduce,
-    "rsag": reduce_scatter_allgather_allreduce,
-    "recursive_doubling": recursive_doubling_allreduce,
-    "rabenseifner": rabenseifner_allreduce,
-    "openmpi_default": rabenseifner_allreduce,
-    "hierarchical": hierarchical_allreduce,
-    "binomial": binomial_allreduce,
-}
+from repro.mpi.schedule import Schedule
 
 #: name -> ``compile(n_ranks, count, itemsize, **kwargs) -> Schedule``.
-#: Keys mirror :data:`ALLREDUCE_ALGORITHMS` exactly.
-ALLREDUCE_COMPILERS = {
+ALLREDUCE_COMPILERS: dict[str, Callable[..., Schedule]] = {
     "multicolor": compile_multicolor,
     "ring": compile_pipelined_ring,
     "rsag": compile_rsag,
@@ -107,16 +87,29 @@ ALLREDUCE_FAMILIES = {
     "recursive": ("recursive_doubling", "rabenseifner", "openmpi_default"),
 }
 
+
+def allreduce_compiler(name: str) -> Callable[..., Schedule]:
+    """The registered compiler for allreduce ``name``.
+
+    Raises ``ValueError`` naming the registered choices when ``name`` is
+    unknown — the one check every name-taking entry point shares.
+    """
+    try:
+        return ALLREDUCE_COMPILERS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown allreduce algorithm {name!r}; "
+            f"choose from {sorted(ALLREDUCE_COMPILERS)}"
+        ) from None
+
+
 __all__ = [
-    "ALLREDUCE_ALGORITHMS",
     "ALLREDUCE_COMPILERS",
     "ALLREDUCE_FAMILIES",
     "DEFAULT_SEGMENT_BYTES",
     "Tree",
+    "allreduce_compiler",
     "alltoallv",
-    "binomial_allreduce",
-    "binomial_bcast",
-    "binomial_reduce",
     "binomial_tree",
     "color_trees",
     "compile_alltoallv",
@@ -132,17 +125,8 @@ __all__ = [
     "compile_ring_allgather",
     "compile_ring_reduce_scatter",
     "compile_rsag",
-    "dissemination_barrier",
-    "hierarchical_allreduce",
     "internal_nodes",
     "kary_bfs_tree",
-    "multicolor_allreduce",
-    "pipelined_ring_allreduce",
-    "rabenseifner_allreduce",
-    "recursive_doubling_allreduce",
-    "reduce_scatter_allgather_allreduce",
-    "ring_allgather",
     "ring_allgatherv",
-    "ring_reduce_scatter",
     "segments_of",
 ]

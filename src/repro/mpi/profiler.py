@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.mpi.analytic import AlphaBetaModel
-from repro.mpi.collectives import ALLREDUCE_COMPILERS
+from repro.mpi.collectives import allreduce_compiler
 from repro.mpi.datatypes import SizeBuffer
 from repro.mpi.runner import build_world
 from repro.mpi.schedule import ScheduleExecutor
@@ -86,20 +86,14 @@ def profile_allreduce(
     Per-rank send accounting comes from the executor's send observer — it
     is written once at the executor layer, not per algorithm.
     """
-    if algorithm not in ALLREDUCE_COMPILERS:
-        raise ValueError(
-            f"unknown algorithm {algorithm!r}; "
-            f"choose from {sorted(ALLREDUCE_COMPILERS)}"
-        )
+    compiler = allreduce_compiler(algorithm)
     engine, world, comm = build_world(
         n_ranks, topology=topology, network=network
     )
     bufs = [SizeBuffer(max(1, nbytes // 4), 4) for _ in range(n_ranks)]
-    kwargs = dict(alg_kwargs)
-    if algorithm in ("multicolor", "ring"):
-        kwargs.setdefault("segment_bytes", segment_bytes)
-    schedule = ALLREDUCE_COMPILERS[algorithm](
-        n_ranks, bufs[0].count, bufs[0].itemsize, **kwargs
+    schedule = compiler(
+        n_ranks, bufs[0].count, bufs[0].itemsize,
+        segment_bytes=segment_bytes, **alg_kwargs,
     )
     executor = ScheduleExecutor(comm, schedule, bufs)
     wire_before = world.fabric.stats.bytes_completed

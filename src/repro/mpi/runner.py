@@ -1,8 +1,14 @@
 """Standalone drivers: build a world, run a collective, report timing.
 
 These are the entry points the Figure 5 benchmark and the unit tests use.
-Training code instead embeds the rank programs inside its own simulation
-(``yield from multicolor_allreduce(...)``).
+Every fixed-size collective runs the same way everywhere: compile it
+(:func:`~repro.mpi.collectives.allreduce_compiler`) and run the schedule
+with a :class:`~repro.mpi.schedule.ScheduleExecutor` — directly, as
+:func:`simulate_allreduce` does, or under
+:func:`~repro.mpi.schedule.run_guarded` inside training.
+:func:`run_rank_programs` drives the remaining generator collectives
+(``ring_allgatherv``, ``alltoallv``) whose message sizes are only known
+at run time.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.mpi.collectives import ALLREDUCE_COMPILERS
+from repro.mpi.collectives import allreduce_compiler
 from repro.mpi.datatypes import ArrayBuffer, Buffer, SizeBuffer
 from repro.mpi.schedule import ScheduleExecutor
 from repro.mpi.world import Communicator, MPIWorld
@@ -42,7 +48,7 @@ class CollectiveOutcome:
     """Result of one simulated collective."""
 
     elapsed: float          # seconds of simulated time
-    results: list[Any]      # per-rank return values of the rank programs
+    results: list[Any]      # per-rank buffers, or rank-program return values
     bytes_on_wire: float    # total bytes that crossed the fabric
 
     def throughput(self, payload_bytes: float) -> float:
@@ -137,13 +143,7 @@ def simulate_allreduce(
     real arrays are reduced (slower, used by tests); otherwise only sizes
     travel, which produces identical timing.
     """
-    try:
-        compiler = ALLREDUCE_COMPILERS[algorithm]
-    except KeyError:
-        raise ValueError(
-            f"unknown allreduce algorithm {algorithm!r}; "
-            f"choose from {sorted(ALLREDUCE_COMPILERS)}"
-        ) from None
+    compiler = allreduce_compiler(algorithm)
     engine, world, comm = build_world(
         n_ranks,
         topology=topology,

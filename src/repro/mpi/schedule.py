@@ -39,13 +39,10 @@ human-readable pipeline.
 
 Executor-layer services
 -----------------------
-* :class:`ScheduleExecutor` — spawns one sim process per step plus one
-  *proxy* process per rank; fault injectors interrupt the proxies exactly
-  as they interrupted generator rank-programs.  Per-rank sent-byte
-  accounting taps :attr:`MPIWorld.send_observers` (no monkeypatching).
-* :func:`execute_rank` — a generator adapter so the legacy rank-program
-  API (``program(comm, rank, buf, tag=...)``) keeps working on top of
-  compiled schedules.
+* :class:`ScheduleExecutor` — the one way to run a schedule: spawns one
+  sim process per strand plus one *proxy* process per rank; fault
+  injectors interrupt the proxies.  Per-rank sent-byte accounting taps
+  :attr:`MPIWorld.send_observers` (no monkeypatching).
 * :func:`run_guarded` — the watchdog/retry/fault-arming loop that used to
   live inside ``DistributedSGDTrainer._allreduce``, written once here.
 * :func:`validate_schedule` — the schedule lint: acyclic (including
@@ -88,7 +85,6 @@ __all__ = [
     "ScheduleError",
     "ScheduleExecutor",
     "SendStep",
-    "execute_rank",
     "format_schedule",
     "memoize_compiler",
     "run_guarded",
@@ -1064,34 +1060,6 @@ def _check_binding(schedule: Schedule, bufmap: dict[str, Buffer]) -> None:
             )
 
 
-def execute_rank(
-    comm: Communicator,
-    rank: int,
-    schedule: Schedule,
-    buf: Buffer | dict[str, Buffer] | None,
-    *,
-    tag: object = None,
-    stats: ExecutionStats | None = None,
-):
-    """Rank-program generator: run ``rank``'s slice of ``schedule``.
-
-    This is the adapter that keeps the legacy collective API alive: the
-    public wrappers in :mod:`repro.mpi.collectives` compile a schedule and
-    ``yield from`` this generator, so existing callers (tests, the shuffle,
-    fault-injection harnesses) see the same generator protocol as before.
-    """
-    if schedule.n_ranks != comm.size:
-        raise ScheduleError(
-            f"schedule {schedule.name!r} is for {schedule.n_ranks} ranks; "
-            f"communicator has {comm.size}"
-        )
-    bufmap = _as_bufmap(buf)
-    _check_binding(schedule, bufmap)
-    procs = _spawn_rank_steps(comm, rank, schedule, bufmap, tag, stats)
-    if procs:
-        yield comm.engine.all_of(procs)
-
-
 def _rank_proxy(engine, step_procs):
     if step_procs:
         yield engine.all_of(step_procs)
@@ -1103,8 +1071,7 @@ class ScheduleExecutor:
     The executor spawns one process per dependency strand (maximal linear
     chain of steps) up front plus one lightweight *proxy* process per rank.  The proxies are the interruption points for
     fault injection (``FaultInjector.arm(engine, world, executor.rank_procs,
-    it)``) — killing a proxy fails the whole run exactly like killing a
-    generator rank-program used to.
+    it)`` after :meth:`launch`) — killing a proxy fails the whole run.
 
     Per-rank sent bytes are accounted through
     :attr:`~repro.mpi.world.MPIWorld.send_observers`, filtered to this

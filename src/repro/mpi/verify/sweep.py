@@ -150,11 +150,9 @@ def crosscheck_goldens(*, max_mb: float | None = None) -> list[GoldenCheck]:
             continue
         nbytes = int(mb * MB)
         itemsize = 4  # float32, matching simulate_allreduce's default
-        kwargs = {}
-        if algorithm in ("multicolor", "ring"):
-            kwargs["segment_bytes"] = max(64 * 1024, nbytes // 64)
         schedule = ALLREDUCE_COMPILERS[algorithm](
-            16, max(1, nbytes // itemsize), itemsize, **kwargs
+            16, max(1, nbytes // itemsize), itemsize,
+            segment_bytes=max(64 * 1024, nbytes // 64),
         )
         bounds = analyze_bounds(schedule)
         checks.append(GoldenCheck(

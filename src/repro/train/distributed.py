@@ -47,7 +47,7 @@ from repro.dpt.table import (
     _DataParallelTableBase,
 )
 from repro.models.nn.network import Network
-from repro.mpi.collectives import ALLREDUCE_ALGORITHMS, ALLREDUCE_COMPILERS
+from repro.mpi.collectives import ALLREDUCE_COMPILERS
 from repro.mpi.datatypes import ArrayBuffer
 from repro.mpi.schedule import CollectiveTelemetry, RankFailure, run_guarded
 from repro.train.injection import FaultEvent, FaultInjector, FaultPlan
@@ -117,7 +117,7 @@ class DistributedSGDTrainer:
             One DIMD store per learner.
         reducer:
             ``"exact"`` for direct NumPy summation, or any name in
-            :data:`~repro.mpi.collectives.ALLREDUCE_ALGORITHMS` to push the
+            :data:`~repro.mpi.collectives.ALLREDUCE_COMPILERS` to push the
             gradients through the simulated MPI.
         shuffle_every:
             If set, run the Algorithm 2 distributed shuffle across learners
@@ -194,10 +194,10 @@ class DistributedSGDTrainer:
         """
         if not stores:
             raise ValueError("need at least one learner store")
-        if reducer != "exact" and reducer not in ALLREDUCE_ALGORITHMS:
+        if reducer != "exact" and reducer not in ALLREDUCE_COMPILERS:
             raise ValueError(
                 f"unknown reducer {reducer!r}; use 'exact' or one of "
-                f"{sorted(ALLREDUCE_ALGORITHMS)}"
+                f"{sorted(ALLREDUCE_COMPILERS)}"
             )
         if dpt_variant not in ("baseline", "optimized"):
             raise ValueError(f"unknown dpt_variant {dpt_variant!r}")

@@ -47,7 +47,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable
 
-from repro.mpi.collectives import ALLREDUCE_COMPILERS
+from repro.mpi.collectives import allreduce_compiler
 from repro.mpi.datatypes import chunk_ranges
 from repro.mpi.schedule import (
     ComputeStep,
@@ -69,6 +69,23 @@ _DEFAULT_SEGMENT_DIVISOR = 16
 
 def _default_segment_bytes(bucket_bytes: int) -> int:
     return max(64 * 1024, bucket_bytes // _DEFAULT_SEGMENT_DIVISOR)
+
+
+def segment_rule(
+    segment_bytes: Callable[[int], int] | int | None,
+) -> Callable[[int], int]:
+    """Resolve a ``segment_bytes`` argument to a per-bucket rule.
+
+    An int applies to every bucket, a callable maps the bucket's byte
+    size, and ``None`` is the benchmark default ``max(64 KiB, bytes/16)``.
+    """
+    def seg_for(nbytes: int) -> int:
+        if segment_bytes is None:
+            return _default_segment_bytes(nbytes)
+        if callable(segment_bytes):
+            return segment_bytes(nbytes)
+        return segment_bytes
+    return seg_for
 
 
 def _splice_step(step, base, extra_deps, bucket, lo, comm_buf):
@@ -152,26 +169,14 @@ def compile_bucketed_step(
         raise ValueError(f"audit_time must be >= 0, got {audit_time}")
     if memory not in ("data", "staged"):
         raise ValueError(f"memory must be 'data' or 'staged', got {memory!r}")
-    try:
-        compiler = ALLREDUCE_COMPILERS[algorithm]
-    except KeyError:
-        raise ValueError(
-            f"unknown allreduce algorithm {algorithm!r}; "
-            f"choose from {sorted(ALLREDUCE_COMPILERS)}"
-        ) from None
+    compiler = allreduce_compiler(algorithm)
 
     staged = memory == "staged"
     comm_buf = "grad" if staged else "data"
     bwd_src = "local" if staged else None
     optim_dst = "update" if staged else None
 
-    def seg_for(nbytes: int) -> int:
-        if segment_bytes is None:
-            return _default_segment_bytes(nbytes)
-        if callable(segment_bytes):
-            return segment_bytes(nbytes)
-        return segment_bytes
-
+    seg_for = segment_rule(segment_bytes)
     buckets = chunk_ranges(count, n_buckets)
     steps: list = []
 

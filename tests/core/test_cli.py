@@ -83,7 +83,7 @@ def test_step_command_unknown_model(capsys):
 def test_step_command_unknown_algorithm(capsys):
     code = main(["step", "--algorithm", "warp"])
     assert code == 2
-    assert "unknown algorithm" in capsys.readouterr().err
+    assert "unknown allreduce algorithm 'warp'" in capsys.readouterr().err
 
 
 def test_shuffle_command(capsys):

@@ -1,18 +1,29 @@
 """Direct tests for bcast / reduce / barrier / allgatherv / alltoallv."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mpi import ArrayBuffer, SizeBuffer, build_world, run_rank_programs
+from repro.mpi import (
+    ArrayBuffer,
+    Schedule,
+    ScheduleExecutor,
+    SizeBuffer,
+    build_world,
+    run_rank_programs,
+    validate_schedule,
+)
 from repro.mpi.collectives import (
     alltoallv,
-    binomial_bcast,
-    binomial_reduce,
-    dissemination_barrier,
+    compile_binomial_bcast,
+    compile_binomial_reduce,
+    compile_dissemination_barrier,
     ring_allgatherv,
 )
+from repro.mpi.schedule import ComputeStep
 
 
 def world(n, topology="star"):
@@ -25,9 +36,8 @@ def test_bcast_delivers_root_payload():
     bufs = [
         ArrayBuffer(data.copy() if r == 2 else np.zeros(8)) for r in range(6)
     ]
-    run_rank_programs(
-        comm, binomial_bcast, per_rank_args=[(b,) for b in bufs], root=2
-    )
+    schedule = compile_binomial_bcast(6, 8, bufs[0].itemsize, root=2)
+    ScheduleExecutor(comm, schedule, bufs).run()
     for b in bufs:
         np.testing.assert_array_equal(b.array, data)
 
@@ -39,9 +49,8 @@ def test_reduce_sums_to_root(root):
     rng = np.random.default_rng(4)
     arrays = [rng.standard_normal(16) for _ in range(n)]
     bufs = [ArrayBuffer(a.copy()) for a in arrays]
-    run_rank_programs(
-        comm, binomial_reduce, per_rank_args=[(b,) for b in bufs], root=root
-    )
+    schedule = compile_binomial_reduce(n, 16, bufs[0].itemsize, root=root)
+    ScheduleExecutor(comm, schedule, bufs).run()
     np.testing.assert_allclose(
         bufs[root].array, np.sum(arrays, axis=0), rtol=1e-12
     )
@@ -49,17 +58,24 @@ def test_reduce_sums_to_root(root):
 
 def test_barrier_synchronizes_staggered_ranks():
     """No rank may pass the barrier before the slowest rank arrives."""
-    eng, w, comm = world(5)
-    exit_times = {}
-
-    def program(comm, rank):
-        yield comm.engine.timeout(rank * 1.0)  # staggered arrivals
-        yield from dissemination_barrier(comm, rank, tag="t")
-        exit_times[rank] = comm.engine.now
-
-    run_rank_programs(comm, program)
+    n = 5
+    eng, w, comm = world(n)
+    # Staggered arrivals: rank r computes for r seconds, then enters the
+    # barrier (its first barrier step depends on that compute step).
+    barrier = compile_dissemination_barrier(n)
+    arrive = [ComputeStep(r, r, (), "arrive", seconds=r * 1.0) for r in range(n)]
+    steps = arrive + [
+        replace(s, sid=s.sid + n, deps=tuple(d + n for d in s.deps) or (s.rank,))
+        for s in barrier.steps
+    ]
+    schedule = Schedule("staggered barrier", n, tuple(steps))
+    validate_schedule(schedule)
+    executor = ScheduleExecutor(comm, schedule, [None] * n, tag="t")
+    executor.run()
+    exit_times = executor.progress.last_advance
     slowest_arrival = 4.0
-    assert all(t >= slowest_arrival for t in exit_times.values())
+    assert all(t >= slowest_arrival for t in exit_times)
+    assert executor.progress.steps_done == executor.progress.steps_total
 
 
 def test_allgatherv_variable_sizes():

@@ -83,7 +83,7 @@ def test_enumerate_points_rejects_unknown_kind():
 
 
 def test_chaos_sweep_rejects_unknown_algorithm():
-    with pytest.raises(ValueError, match="unknown algorithm"):
+    with pytest.raises(ValueError, match="unknown allreduce algorithm 'quantum'"):
         chaos_sweep(["quantum"], n_ranks=(2,))
 
 

@@ -40,5 +40,5 @@ def test_efficiency_close_to_bound_for_pipelined_ring():
 
 
 def test_unknown_algorithm():
-    with pytest.raises(ValueError, match="unknown algorithm"):
+    with pytest.raises(ValueError, match="unknown allreduce algorithm 'sorcery'"):
         profile_allreduce(4, 1024, algorithm="sorcery")

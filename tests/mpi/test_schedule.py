@@ -5,14 +5,13 @@ import pytest
 
 from repro.mpi.collectives import ALLREDUCE_COMPILERS
 from repro.mpi.datatypes import ArrayBuffer, SizeBuffer
-from repro.mpi.runner import build_world, run_rank_programs
+from repro.mpi.runner import build_world
 from repro.mpi.schedule import (
     CollectiveTimeout,
     ScheduleBuilder,
     ScheduleError,
     ScheduleExecutor,
     SendStep,
-    execute_rank,
     format_schedule,
     memoize_compiler,
     run_guarded,
@@ -171,13 +170,18 @@ def test_format_schedule_truncation_counts_remaining_steps():
 
 def test_every_registered_compiler_passes_the_lint():
     # The schedule lint run over the whole registry — every algorithm, a
-    # spread of rank counts (incl. non-powers-of-two) and payload sizes.
+    # spread of rank counts (incl. non-powers-of-two) and payload sizes,
+    # at the default segment size and at an explicit non-default one:
+    # ``segment_bytes`` is part of every compiler's contract.
     for name, compiler in sorted(ALLREDUCE_COMPILERS.items()):
         for n_ranks in (1, 2, 3, 6, 16):
             for count in (1, 1000):
-                sched = compiler(n_ranks, count, 4)
-                report = validate_schedule(sched)
-                assert report["n_steps"] == sched.n_steps, (name, n_ranks, count)
+                for kwargs in ({}, {"segment_bytes": 256}):
+                    sched = compiler(n_ranks, count, 4, **kwargs)
+                    report = validate_schedule(sched)
+                    assert report["n_steps"] == sched.n_steps, (
+                        name, n_ranks, count, kwargs,
+                    )
 
 
 # -- execution ----------------------------------------------------------------
@@ -225,21 +229,6 @@ def test_executor_launch_is_single_shot():
     executor.run()
     with pytest.raises(ScheduleError, match="already launched"):
         executor.launch()
-
-
-def test_execute_rank_legacy_adapter():
-    # The generator adapter drives one rank's slice of a schedule under the
-    # old rank-program protocol.
-    sched = _reduce_to_root_schedule()
-    engine, world, comm = build_world(2, topology="star")
-    bufs = [ArrayBuffer(np.full(4, 2, dtype=np.int64)),
-            ArrayBuffer(np.full(4, 3, dtype=np.int64))]
-
-    def program(comm, rank):
-        yield from execute_rank(comm, rank, sched, bufs[rank], tag="legacy")
-
-    run_rank_programs(comm, program)
-    np.testing.assert_array_equal(bufs[0].array, np.full(4, 5))
 
 
 def test_concurrent_executors_share_one_world():

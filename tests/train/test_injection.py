@@ -8,8 +8,10 @@ delivery — each exercised directly against a small simulated world.
 import numpy as np
 import pytest
 
+from repro.mpi.collectives import compile_multicolor
 from repro.mpi.datatypes import ArrayBuffer
 from repro.mpi.runner import build_world
+from repro.mpi.schedule import ScheduleExecutor
 from repro.net.params import LinkParams, NetworkParams
 from repro.sim.engine import Interrupt
 from repro.train.injection import (
@@ -180,16 +182,18 @@ def test_drop_only_affects_selected_message():
 
 # -- FaultInjector against real collectives -----------------------------------
 
-def _armed_allreduce(n_ranks, specs, iteration=0, nelem=64):
-    from repro.mpi.collectives import ALLREDUCE_ALGORITHMS
-
+def _launch_multicolor(n_ranks, nelem):
+    """Compile and launch a multicolor allreduce; returns its rank proxies."""
     engine, world, comm = build_world(n_ranks, topology="star")
-    program = ALLREDUCE_ALGORITHMS["multicolor"]
     buffers = [ArrayBuffer(np.full(nelem, float(r))) for r in range(n_ranks)]
-    procs = [
-        engine.process(program(comm, r, buffers[r], tag="t"), name=f"r{r}")
-        for r in range(n_ranks)
-    ]
+    schedule = compile_multicolor(n_ranks, nelem, buffers[0].itemsize)
+    executor = ScheduleExecutor(comm, schedule, buffers, tag="t")
+    executor.launch()
+    return engine, world, executor.rank_procs, buffers
+
+
+def _armed_allreduce(n_ranks, specs, iteration=0, nelem=64):
+    engine, world, procs, buffers = _launch_multicolor(n_ranks, nelem)
     injector = FaultInjector(FaultPlan(specs))
     injector.arm(engine, world, procs, iteration)
     return engine, injector, procs, buffers
@@ -236,15 +240,7 @@ def test_injected_degrade_slows_but_completes():
 
 def _arm_world(injector, n_ranks, iteration, nelem=64):
     """Arm an existing injector against a freshly built collective."""
-    from repro.mpi.collectives import ALLREDUCE_ALGORITHMS
-
-    engine, world, comm = build_world(n_ranks, topology="star")
-    program = ALLREDUCE_ALGORITHMS["multicolor"]
-    buffers = [ArrayBuffer(np.full(nelem, float(r))) for r in range(n_ranks)]
-    procs = [
-        engine.process(program(comm, r, buffers[r], tag="t"), name=f"r{r}")
-        for r in range(n_ranks)
-    ]
+    engine, world, procs, buffers = _launch_multicolor(n_ranks, nelem)
     injector.arm(engine, world, procs, iteration)
     return engine, procs, buffers
 

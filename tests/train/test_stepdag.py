@@ -21,11 +21,9 @@ from repro.mpi.datatypes import SizeBuffer
 from repro.mpi.runner import build_world
 from repro.mpi.schedule import ComputeStep, OptimStep, ScheduleExecutor
 from repro.mpi.verify import analyze_bounds, train_step_contract, verify_schedule
-from repro.train.overlap import (
-    _legacy_simulate_bucketed_overlap,
-    simulate_bucketed_overlap,
-)
+from repro.train.overlap import simulate_bucketed_overlap
 from repro.train.stepdag import compile_bucketed_step, compile_model_step
+from tests.train.overlap_oracle import legacy_simulate_bucketed_overlap
 
 COUNT = 1003
 
@@ -190,7 +188,7 @@ def test_unified_dag_matches_legacy_driver(algorithm, n_buckets):
     unified = simulate_bucketed_overlap(
         algorithm=algorithm, n_buckets=n_buckets, **PARITY_KW
     )
-    legacy = _legacy_simulate_bucketed_overlap(
+    legacy = legacy_simulate_bucketed_overlap(
         algorithm=algorithm, n_buckets=n_buckets, **PARITY_KW
     )
     assert unified.iteration_time == pytest.approx(
@@ -220,7 +218,7 @@ def test_composition_smoke_fp16_overlap_multicolor():
     unified = simulate_bucketed_overlap(
         gradient_bytes=2 * n_params, itemsize=2, **kw
     )
-    legacy = _legacy_simulate_bucketed_overlap(
+    legacy = legacy_simulate_bucketed_overlap(
         gradient_bytes=2 * n_params, itemsize=2, **kw
     )
     assert unified.iteration_time == pytest.approx(

@@ -43,6 +43,18 @@ def test_distributed_accuracy_more_replicas_than_samples():
     )
 
 
+def test_distributed_accuracy_single_replica():
+    # One replica: the reduction is a zero-step schedule, so the count
+    # buffer passes through untouched.
+    nets = make_nets(1)
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((11, 1, 2, 4))
+    y = rng.integers(0, 3, size=11)
+    assert distributed_accuracy(nets, x, y) == pytest.approx(
+        nets[0].accuracy(x, y)
+    )
+
+
 def test_distributed_accuracy_validation():
     nets = make_nets(2)
     with pytest.raises(ValueError):
