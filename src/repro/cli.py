@@ -596,73 +596,43 @@ def _cmd_faults(args) -> int:
 
 
 def _cmd_chaos(args) -> int:
-    from repro.mpi.chaos import (
-        DEFAULT_KINDS,
-        SHUFFLE_KINDS,
-        chaos_sweep,
-        shuffle_chaos_sweep,
-        smoke_algorithms,
-    )
+    from repro.mpi.chaos import chaos_sweep, smoke_algorithms
     from repro.mpi.collectives import ALLREDUCE_COMPILERS
 
-    if args.collective == "fleet":
-        from repro.fleet.chaos import FLEET_KINDS, fleet_chaos_sweep
-
-        kinds = (
-            FLEET_KINDS
-            if args.kinds is None
-            else tuple(k.strip() for k in args.kinds.split(",") if k.strip())
-        )
-        try:
-            report = fleet_chaos_sweep(kinds=kinds, smoke=True)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        print(report.format())
-        return 0 if report.all_ok else 1
-
-    if args.collective == "sdc-step":
-        from repro.train.sdc_chaos import sdc_chaos_sweep
-
-        report = sdc_chaos_sweep(max_points=args.max_points)
-        print(report.format())
-        return 0 if report.all_ok else 1
-
-    if args.collective == "shuffle":
-        kinds = (
-            SHUFFLE_KINDS
-            if args.kinds is None
-            else tuple(k.strip() for k in args.kinds.split(",") if k.strip())
-        )
-        try:
-            report = shuffle_chaos_sweep(
-                tuple(args.ranks), kinds=kinds,
-                max_points_per_rank=args.max_points,
-            )
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        print(report.format())
-        return 0 if report.all_ok else 1
-
-    if args.algorithms == "smoke":
-        algorithms = smoke_algorithms()
-    elif args.algorithms == "all":
-        algorithms = sorted(ALLREDUCE_COMPILERS)
-    else:
-        algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
-    if _unknown_allreduce(algorithms):
-        return 2
     kinds = (
-        DEFAULT_KINDS
+        None
         if args.kinds is None
         else tuple(k.strip() for k in args.kinds.split(",") if k.strip())
     )
+    algorithms, opts = ["shuffle"], {}
+    if args.collective == "allreduce":
+        opts["count"] = args.count
+        if args.algorithms == "smoke":
+            algorithms = smoke_algorithms()
+        elif args.algorithms == "all":
+            algorithms = sorted(ALLREDUCE_COMPILERS)
+        else:
+            algorithms = [
+                a.strip() for a in args.algorithms.split(",") if a.strip()
+            ]
+        if _unknown_allreduce(algorithms):
+            return 2
     try:
-        report = chaos_sweep(
-            algorithms, tuple(args.ranks), kinds=kinds, count=args.count,
-            max_points_per_rank=args.max_points,
-        )
+        if args.collective == "fleet":
+            from repro.fleet.chaos import FLEET_KINDS, fleet_chaos_sweep
+
+            report = fleet_chaos_sweep(
+                kinds=FLEET_KINDS if kinds is None else kinds, smoke=True
+            )
+        elif args.collective == "sdc-step":
+            from repro.train.sdc_chaos import sdc_chaos_sweep
+
+            report = sdc_chaos_sweep(max_points=args.max_points)
+        else:
+            report = chaos_sweep(
+                algorithms, tuple(args.ranks), kinds=kinds,
+                max_points_per_rank=args.max_points, **opts,
+            )
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -1,14 +1,19 @@
 """Guarded execution for the distributed shuffle (data-plane fault tolerance).
 
-:func:`run_shuffle_guarded` is the shuffle's counterpart of
-:func:`repro.mpi.schedule.run_guarded`: it runs one transactional shuffle
-round under a watchdog, rolls every store back to its pre-shuffle snapshot
-on any fault, and either retries (transient: lost/delayed/corrupted
-messages) or surgically repairs around a permanent rank loss by dealing
-the victim's partition to the survivors and re-running the round over the
-survivor group.  Because the re-run draws its randomness from the same
-``(seed, round_id)`` and the dealing policy is shared with the trainer's
-elastic shrink (:func:`repro.data.dimd.deal_records`), a repaired shuffle
+:func:`run_shuffle_guarded` is the shuffle plane of the one guarded
+retry loop, :func:`repro.mpi.schedule.guard_attempts`, which it shares
+with the allreduce's :func:`~repro.mpi.schedule.run_guarded`.  The loop
+owns the watchdog, retry budget, geometric backoff, surgical repair and
+:class:`~repro.mpi.schedule.CollectiveTimeout`; this module supplies only
+what is particular to the shuffle: an attempt is one transactional round,
+a failed attempt rolls every store back to its pre-shuffle snapshot, a
+repaired victim's partition is dealt to the survivors before the round
+re-runs over the survivor group, and a CRC failure
+(:class:`~repro.data.integrity.ShuffleIntegrityError`) is one more
+transient failure, retried under the same budget as a watchdog stall.
+Because the re-run draws its randomness from the same ``(seed,
+round_id)`` and the dealing policy is shared with the trainer's elastic
+shrink (:func:`repro.data.dimd.deal_records`), a repaired shuffle
 is bit-identical to a fault-free shuffle over the same survivor group.
 
 Failure attribution mirrors the executor layer: :func:`diagnose_shuffle`
@@ -31,15 +36,13 @@ from repro.data.shuffle import (
     ShuffleReport,
     distributed_shuffle,
 )
-from repro.mpi.runner import build_world
 from repro.mpi.schedule import (
     CollectiveTelemetry,
-    CollectiveTimeout,
     FailureDiagnosis,
-    RankFailure,
+    GuardedPlane,
     StalledStep,
+    guard_attempts,
 )
-from repro.sim.engine import Interrupt
 from repro.utils.rng import rng_for
 
 __all__ = ["diagnose_shuffle", "run_shuffle_guarded"]
@@ -147,9 +150,65 @@ def _corruption_diagnosis(
     )
 
 
-def _rollback_all(stores: list[DIMDStore], round_id: int) -> None:
-    for s in stores:
-        s.rollback_shuffle(round_id)
+class _ShufflePlane(GuardedPlane):
+    """One transactional shuffle round as a guarded plane."""
+
+    transient = (ShuffleIntegrityError,)
+
+    def __init__(self, stores, seed, round_id, max_chunk_bytes, tag):
+        self.stores = stores
+        self.seed = seed
+        self.round_id = round_id
+        self.max_chunk_bytes = max_chunk_bytes
+        self.tag = tag
+        self.progress: ShuffleProgress | None = None
+        self.procs: list = []
+
+    @property
+    def size(self) -> int:
+        return len(self.stores)
+
+    def launch(self, comm):
+        for s in self.stores:
+            s.begin_shuffle(self.round_id)
+        self.progress = ShuffleProgress(comm.size)
+        self.procs = [
+            comm.engine.process(
+                distributed_shuffle(
+                    comm, r, store, seed=self.seed, round_id=self.round_id,
+                    max_chunk_bytes=self.max_chunk_bytes, tag=self.tag,
+                    progress=self.progress,
+                ),
+                name=f"shuffle{r}",
+            )
+            for r, store in enumerate(self.stores)
+        ]
+        return comm.engine.all_of(self.procs), self.procs
+
+    def undo(self):
+        # Every store, committed or not: a failed round is a group-wide no-op.
+        for s in self.stores:
+            s.rollback_shuffle(self.round_id)
+
+    def drop(self, rank):
+        # The victim's rolled-back partition is dealt to the survivors, so
+        # the re-run starts from pristine post-deal state.
+        deal_records(self.stores.pop(rank), self.stores)
+
+    def diagnose(self, now, error):
+        if isinstance(error, ShuffleIntegrityError):
+            return _corruption_diagnosis(self.progress, error, now)
+        return diagnose_shuffle(self.progress, now)
+
+    def result(self):
+        for s in self.stores:
+            s.finalize_shuffle(self.round_id)
+        return [p.value for p in self.procs]
+
+    def solo(self):
+        only = self.stores[0]
+        only.local_permute(rng_for(self.seed, "perm", self.round_id, 0))
+        return [ShuffleReport(0.0, 0.0, only.nbytes, 1)]
 
 
 def run_shuffle_guarded(
@@ -183,91 +242,11 @@ def run_shuffle_guarded(
     commits can never leak: a failed round is a group-wide no-op.
     """
     telemetry = telemetry if telemetry is not None else CollectiveTelemetry()
-    stores = list(stores)
-    attempts = 0
-    backoff = retry_backoff
-    while True:
-        n = len(stores)
-        if n == 1:
-            stores[0].local_permute(rng_for(seed, "perm", round_id, 0))
-            return [ShuffleReport(0.0, 0.0, stores[0].nbytes, 1)], telemetry
-        for s in stores:
-            s.begin_shuffle(round_id)
-        engine, world, comm = build_world(n, topology=topology)
-        progress = ShuffleProgress(n)
-        procs = [
-            engine.process(
-                distributed_shuffle(
-                    comm,
-                    r,
-                    stores[r],
-                    seed=seed,
-                    round_id=round_id,
-                    max_chunk_bytes=max_chunk_bytes,
-                    tag=tag,
-                    progress=progress,
-                ),
-                name=f"shuffle{r}",
-            )
-            for r in range(n)
-        ]
-        done = engine.all_of(procs)
-        mark = len(fault_injector.events) if fault_injector is not None else 0
-        if fault_injector is not None:
-            fault_injector.arm(engine, world, procs, iteration)
-        deadline = engine.timeout(timeout)
-        try:
-            engine.run(engine.any_of([done, deadline]))
-        except Interrupt as exc:
-            telemetry.sim_time += engine.now
-            if fault_injector is not None:
-                telemetry.fault_events.extend(fault_injector.events_since(mark))
-            _rollback_all(stores, round_id)
-            cause = exc.cause
-            if isinstance(cause, RankFailure) and repair:
-                # Surgical repair: the victim's (rolled-back) partition is
-                # dealt to the survivors and the round re-runs over the
-                # survivor group from pristine post-deal state.
-                telemetry.repaired_ranks.append(cause.rank)
-                dead = stores.pop(cause.rank)
-                deal_records(dead, stores)
-                continue
-            if isinstance(cause, RankFailure):
-                raise cause from exc
-            raise
-        except ShuffleIntegrityError as exc:
-            telemetry.sim_time += engine.now
-            if fault_injector is not None:
-                telemetry.fault_events.extend(fault_injector.events_since(mark))
-            _rollback_all(stores, round_id)
-            diagnosis = _corruption_diagnosis(progress, exc, engine.now)
-            telemetry.diagnoses.append(diagnosis)
-            attempts += 1
-            telemetry.retries += 1
-            if attempts > max_retries:
-                raise CollectiveTimeout(
-                    timeout, iteration, attempts, diagnosis
-                ) from exc
-            telemetry.backoff += backoff
-            telemetry.sim_time += backoff
-            backoff *= 2
-            continue
-        telemetry.sim_time += engine.now
-        if fault_injector is not None:
-            telemetry.fault_events.extend(fault_injector.events_since(mark))
-        if done.triggered:
-            for s in stores:
-                s.finalize_shuffle(round_id)
-            return [p.value for p in procs], telemetry
-        # Watchdog fired first: roll back, attribute the stall, retry with
-        # bounded exponential backoff (accounted in simulated time).
-        _rollback_all(stores, round_id)
-        diagnosis = diagnose_shuffle(progress, engine.now)
-        telemetry.diagnoses.append(diagnosis)
-        attempts += 1
-        telemetry.retries += 1
-        if attempts > max_retries:
-            raise CollectiveTimeout(timeout, iteration, attempts, diagnosis)
-        telemetry.backoff += backoff
-        telemetry.sim_time += backoff
-        backoff *= 2
+    plane = _ShufflePlane(list(stores), seed, round_id, max_chunk_bytes, tag)
+    reports = guard_attempts(
+        plane, timeout=timeout, max_retries=max_retries,
+        retry_backoff=retry_backoff, topology=topology,
+        fault_injector=fault_injector, iteration=iteration,
+        telemetry=telemetry, repair=repair,
+    )
+    return reports, telemetry

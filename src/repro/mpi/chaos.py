@@ -2,52 +2,53 @@
 
 The schedule IR makes a collective's fault space *finite*: every rank's
 execution is a sequence of step completions (strand boundaries) and every
-message is a discrete send.  This module enumerates every (algorithm x
-rank x strand boundary) crash point and every (rank x send) drop/delay
-point, runs each through the guarded executor
-(:func:`repro.mpi.schedule.run_guarded` with surgical repair enabled),
-and checks three invariants:
+message is a discrete send.  One harness enumerates every (rank x
+boundary) crash point and every (rank x send) drop/delay/corrupt point of
+a *plane* and runs each through that plane's guarded call — both share
+the one retry loop, :func:`repro.mpi.schedule.guard_attempts`, with
+surgical repair enabled.  There are two planes:
+
+* **allreduce** — any registered algorithm name; the gradient allreduce
+  under :func:`repro.mpi.schedule.run_guarded`;
+* **shuffle** — the name ``"shuffle"``; one transactional DIMD round
+  (:func:`repro.data.shuffle.distributed_shuffle`) under
+  :func:`repro.data.guard.run_shuffle_guarded`, which also takes
+  ``corrupt`` faults.
+
+Every point is checked against the shared invariants, written once:
 
 1. **No deadlock** — total simulated time is bounded by the watchdog
    budget: ``(retries + repairs + 1) * timeout + backoff``.
-2. **Survivor bit-exactness** — the surviving group's result equals the
-   exact integer sum of the survivors' inputs, i.e. the fault-free
-   reference computed on the survivor group (inputs are int64, so the
-   comparison is bit-exact, not approximate).
-3. **Telemetry consistency** — one diagnosis per retry, geometric
-   backoff, zero retries consumed by surgical repairs, and every
-   watchdog diagnosis naming the injected victim rank.
+2. **Telemetry consistency** — one diagnosis per retry, geometric
+   backoff, exactly one repair and zero retries for a fired crash, no
+   repair for any other fault, and every diagnosis naming the injected
+   victim rank (watchdog stalls and CRC corruption alike).
+
+plus the plane's own result invariants:
+
+* allreduce — **survivor bit-exactness**: the surviving group's result
+  equals the exact integer sum of the survivors' inputs (int64 inputs,
+  so the comparison is bit-exact, not approximate);
+* shuffle — **record conservation** (the multiset of (record bytes,
+  label) pairs across the surviving stores equals the pre-shuffle
+  multiset: a crashed rank's partition is dealt to the survivors),
+  **repair determinism** (surviving partitions are bit-identical to a
+  fault-free shuffle over the same survivor group) and **no open
+  transactions** (every store's shuffle transaction is finalized or
+  rolled back, never leaked).
 
 Fault points are discovered from an instrumented *reference run*: a
-fault-free execution whose per-step completion times give the crash
-boundaries and whose send-observer timestamps give the drop/delay points.
-
-The same treatment covers the **data plane**: the transactional DIMD
-shuffle (:func:`repro.data.shuffle.distributed_shuffle` under
-:func:`repro.data.guard.run_shuffle_guarded`) gets its own sweep —
-every (rank x pass x exchange step) crash/drop/delay/**corrupt** point —
-with the invariants adapted to data movement:
-
-1. **No deadlock** — same watchdog-budget bound on simulated time.
-2. **Record conservation** — the multiset of (record bytes, label) pairs
-   across the surviving stores equals the pre-shuffle multiset exactly:
-   zero records lost or duplicated, a crashed rank's partition included
-   (it is dealt to the survivors during repair).
-3. **Repair determinism** — surviving partitions are bit-identical to a
-   fault-free shuffle over the same survivor group (same seed/round),
-   because retries restart from rolled-back snapshots and the repair
-   dealing policy is shared with the elastic shrink.
-4. **Telemetry consistency** — same bookkeeping rules, with corruption
-   diagnoses naming the corrupting sender.
-5. **No open transactions** — every store's shuffle transaction is
-   finalized or rolled back, never leaked.
+fault-free execution whose per-rank progress times give the crash
+boundaries and whose send-observer timestamps give the send points.
 
 Used by ``repro chaos`` (CLI) and ``tests/mpi/test_chaos.py``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -70,6 +71,7 @@ from repro.mpi.schedule import (
     run_guarded,
 )
 from repro.train.injection import FaultInjector, FaultPlan, FaultSpec
+from repro.utils.sampling import spread_sample
 
 __all__ = [
     "ChaosOutcome",
@@ -79,13 +81,9 @@ __all__ = [
     "chaos_input",
     "chaos_sweep",
     "enumerate_points",
-    "enumerate_shuffle_points",
     "reference_run",
     "run_point",
-    "run_shuffle_point",
     "shuffle_chaos_stores",
-    "shuffle_chaos_sweep",
-    "shuffle_reference_run",
     "smoke_algorithms",
 ]
 
@@ -98,12 +96,29 @@ DEFAULT_TIMEOUT_FACTOR = 64.0
 #: Shuffle sweep sizing: records per rank and the forced multi-pass chunk.
 SHUFFLE_PER_RANK = 6
 SHUFFLE_CHUNK_BYTES = 128
+SHUFFLE_SEED = 7
 
 
 def chaos_input(rank: int, count: int) -> np.ndarray:
     """Deterministic int64 input for ``rank`` (distinct across ranks)."""
     rng = np.random.default_rng(0xC4A05 + rank)
     return rng.integers(-(2**31), 2**31, size=count).astype(np.int64)
+
+
+def shuffle_chaos_stores(
+    n_ranks: int, *, per_rank: int = SHUFFLE_PER_RANK
+) -> list[DIMDStore]:
+    """Deterministic opaque-blob stores, distinct across ranks and records."""
+    stores = []
+    for rank in range(n_ranks):
+        rng = np.random.default_rng(0x5F0C4A05 + rank)
+        records = [
+            bytes(rng.integers(0, 256, size=int(rng.integers(40, 56)), dtype=np.uint8))
+            for _ in range(per_rank)
+        ]
+        labels = np.arange(rank * per_rank, (rank + 1) * per_rank, dtype=np.int64)
+        stores.append(DIMDStore(records, labels, learner=rank))
+    return stores
 
 
 def smoke_algorithms() -> list[str]:
@@ -115,10 +130,10 @@ def smoke_algorithms() -> list[str]:
 class ChaosPoint:
     """One injectable fault: (algorithm, group size, kind, victim, time)."""
 
-    algorithm: str
+    algorithm: str  # allreduce algorithm name, or "shuffle"
     n_ranks: int
-    kind: str       # "crash" | "drop" | "delay"
-    rank: int       # victim (crash) / sender (drop, delay)
+    kind: str       # "crash" | "drop" | "delay" | "corrupt" (shuffle only)
+    rank: int       # victim (crash) / sender (drop, delay, corrupt)
     at: float       # simulated seconds into the collective
     note: str = ""
 
@@ -209,11 +224,13 @@ class ReferenceRun:
     algorithm: str
     n_ranks: int
     elapsed: float
-    #: rank -> sorted step-completion times (strand boundaries), 0.0 first.
+    #: rank -> sorted progress times (strand boundaries), 0.0 first.
     boundaries: dict[int, tuple[float, ...]]
     #: rank -> sorted distinct times this rank posted a send.
     send_times: dict[int, tuple[float, ...]]
 
+
+# -- the allreduce plane ------------------------------------------------------
 
 class _RecordingProgress(ExecutionProgress):
     """Progress tracker that additionally keeps per-step finish times."""
@@ -227,298 +244,76 @@ class _RecordingProgress(ExecutionProgress):
         self.finish_times.setdefault(step.rank, []).append(now)
 
 
-def reference_run(
-    algorithm: str,
-    n_ranks: int,
-    *,
-    count: int = DEFAULT_COUNT,
-    itemsize: int = DEFAULT_ITEMSIZE,
-    topology: str = "star",
+def _allreduce_reference(
+    algorithm, comm, *, count=DEFAULT_COUNT, itemsize=DEFAULT_ITEMSIZE,
     **compile_kwargs,
-) -> ReferenceRun:
-    """Run the collective fault-free and record every strand boundary
-    (step completion) and send-post time per rank."""
-    compiler = ALLREDUCE_COMPILERS[algorithm]
-    engine, world, comm = build_world(n_ranks, topology=topology)
-    buffers = [ArrayBuffer(chaos_input(r, count)) for r in range(n_ranks)]
-    schedule = compiler(n_ranks, count, itemsize, **compile_kwargs)
+):
+    n = comm.size
+    buffers = [ArrayBuffer(chaos_input(r, count)) for r in range(n)]
+    schedule = ALLREDUCE_COMPILERS[algorithm](n, count, itemsize, **compile_kwargs)
     executor = ScheduleExecutor(comm, schedule, buffers)
     executor.progress = _RecordingProgress(schedule)
+    return executor.launch(), executor.progress.finish_times
 
-    send_times: dict[int, set[float]] = {r: set() for r in range(n_ranks)}
 
-    def observe(src, dst, tag, nbytes):
-        if isinstance(tag, tuple) and len(tag) == 3 and tag[0] == "sx":
-            send_times[src].add(engine.now)
-
-    world.send_observers.append(observe)
-    elapsed = executor.run()
-    boundaries = {
-        r: tuple(sorted({0.0, *executor.progress.finish_times.get(r, [])}))
-        for r in range(n_ranks)
-    }
-    return ReferenceRun(
-        algorithm=algorithm,
-        n_ranks=n_ranks,
-        elapsed=elapsed,
-        boundaries=boundaries,
-        send_times={r: tuple(sorted(send_times[r])) for r in range(n_ranks)},
+def _allreduce_guarded(
+    point, guard, *, count=DEFAULT_COUNT, itemsize=DEFAULT_ITEMSIZE,
+    **compile_kwargs,
+):
+    # ``itemsize`` is fixed by the int64 inputs; it only shapes the reference.
+    inputs = [chaos_input(r, count) for r in range(point.n_ranks)]
+    buffers, _ = run_guarded(
+        ALLREDUCE_COMPILERS[point.algorithm],
+        lambda: [ArrayBuffer(a.copy()) for a in inputs],
+        **guard, **compile_kwargs,
     )
 
+    def violations(survivors, victims):
+        # Survivor results bit-exact vs the fault-free survivor-group sum.
+        expected = np.sum([inputs[r] for r in survivors], axis=0, dtype=np.int64)
+        if len(buffers) != len(survivors):
+            yield f"{len(buffers)} result buffers for {len(survivors)} survivors"
+        for rank, buf in zip(survivors, buffers):
+            if not np.array_equal(buf.array, expected):
+                yield (
+                    f"survivor {rank} result differs from the fault-free "
+                    "survivor-group sum"
+                )
 
-def _subsample(seq: tuple, limit: int | None) -> list:
-    """Evenly spaced deterministic subset of at most ``limit`` items."""
-    if limit is None or len(seq) <= limit:
-        return list(seq)
-    idx = np.linspace(0, len(seq) - 1, limit).round().astype(int)
-    return [seq[i] for i in sorted(set(idx.tolist()))]
-
-
-def enumerate_points(
-    algorithm: str,
-    n_ranks: int,
-    *,
-    kinds: tuple[str, ...] = DEFAULT_KINDS,
-    count: int = DEFAULT_COUNT,
-    itemsize: int = DEFAULT_ITEMSIZE,
-    max_points_per_rank: int | None = None,
-    topology: str = "star",
-    **compile_kwargs,
-) -> tuple[list[ChaosPoint], ReferenceRun]:
-    """Enumerate every injectable fault point of one (algorithm, size).
-
-    Crash points are the strand boundaries of each rank (plus t=0); drop
-    and delay points are each rank's distinct send-post instants.  With
-    ``max_points_per_rank``, boundaries are evenly subsampled per rank —
-    the cap is recorded in the point notes, never silent.
-    """
-    for kind in kinds:
-        if kind not in DEFAULT_KINDS:
-            raise ValueError(f"unknown chaos kind {kind!r}; use {DEFAULT_KINDS}")
-    ref = reference_run(
-        algorithm, n_ranks, count=count, itemsize=itemsize,
-        topology=topology, **compile_kwargs,
-    )
-    points: list[ChaosPoint] = []
-    for rank in range(n_ranks):
-        if "crash" in kinds:
-            times = _subsample(ref.boundaries[rank], max_points_per_rank)
-            capped = len(times) < len(ref.boundaries[rank])
-            for i, t in enumerate(times):
-                points.append(ChaosPoint(
-                    algorithm, n_ranks, "crash", rank, t,
-                    note=f"boundary {i}/{len(times)}"
-                    + (" (subsampled)" if capped else ""),
-                ))
-        for kind in ("drop", "delay"):
-            if kind not in kinds:
-                continue
-            times = _subsample(ref.send_times[rank], max_points_per_rank)
-            capped = len(times) < len(ref.send_times[rank])
-            for i, t in enumerate(times):
-                points.append(ChaosPoint(
-                    algorithm, n_ranks, kind, rank, t,
-                    note=f"send {i}/{len(times)}"
-                    + (" (subsampled)" if capped else ""),
-                ))
-    return points, ref
+    return violations
 
 
-def run_point(
-    point: ChaosPoint,
-    *,
-    reference: ReferenceRun,
-    count: int = DEFAULT_COUNT,
-    itemsize: int = DEFAULT_ITEMSIZE,
-    timeout_factor: float = DEFAULT_TIMEOUT_FACTOR,
-    max_retries: int = 3,
-    topology: str = "star",
-    **compile_kwargs,
-) -> ChaosOutcome:
-    """Inject one fault point under ``run_guarded`` and check the invariants."""
-    n = point.n_ranks
-    inputs = [chaos_input(r, count) for r in range(n)]
-    timeout = max(timeout_factor * reference.elapsed, 1e-4)
-    retry_backoff = timeout / 4.0
-    if point.kind == "crash":
-        spec = FaultSpec("crash", 0, rank=point.rank, at=point.at)
-    elif point.kind == "drop":
-        spec = FaultSpec("drop", 0, rank=point.rank, at=point.at, count=1)
-    else:
-        spec = FaultSpec(
-            "delay", 0, rank=point.rank, at=point.at, count=1,
-            seconds=2.0 * timeout,
+# -- the shuffle plane --------------------------------------------------------
+
+class _RecordingShuffleProgress(ShuffleProgress):
+    """Shuffle progress tracker that additionally keeps advance times."""
+
+    def __init__(self, n_ranks: int):
+        super().__init__(n_ranks)
+        self.finish_times: dict[int, list[float]] = {}
+
+    def end_recv(self, rank: int, now: float) -> None:
+        super().end_recv(rank, now)
+        self.finish_times.setdefault(rank, []).append(now)
+
+
+def _shuffle_reference(
+    algorithm, comm, *, per_rank=SHUFFLE_PER_RANK,
+    max_chunk_bytes=SHUFFLE_CHUNK_BYTES,
+):
+    stores = shuffle_chaos_stores(comm.size, per_rank=per_rank)
+    progress = _RecordingShuffleProgress(comm.size)
+    procs = [
+        comm.engine.process(
+            distributed_shuffle(
+                comm, r, store, seed=SHUFFLE_SEED, round_id=0,
+                max_chunk_bytes=max_chunk_bytes, progress=progress,
+            ),
+            name=f"shuffle{r}",
         )
-    injector = FaultInjector(FaultPlan([spec]))
-    telemetry = CollectiveTelemetry()
-
-    def fail(detail: str, **kw) -> ChaosOutcome:
-        return ChaosOutcome(
-            point=point, ok=False,
-            fired=bool(injector.events),
-            survivors=kw.get("survivors", ()),
-            retries=telemetry.retries, repairs=telemetry.repairs,
-            sim_time=telemetry.sim_time,
-            diagnosis_named_victim=kw.get("named"),
-            detail=detail,
-        )
-
-    try:
-        buffers, telemetry = run_guarded(
-            ALLREDUCE_COMPILERS[point.algorithm],
-            lambda: [ArrayBuffer(a.copy()) for a in inputs],
-            timeout=timeout,
-            max_retries=max_retries,
-            retry_backoff=retry_backoff,
-            topology=topology,
-            tag=("chaos", point.kind, point.rank),
-            fault_injector=injector,
-            iteration=0,
-            telemetry=telemetry,
-            repair=True,
-            **compile_kwargs,
-        )
-    except CollectiveTimeout as exc:
-        return fail(f"retry budget exhausted (possible deadlock): {exc}")
-    except RankFailure as exc:  # pragma: no cover - repair=True absorbs these
-        return fail(f"unrepaired rank failure: {exc}")
-
-    fired = bool(injector.events)
-    survivors = list(range(n))
-    for victim in telemetry.repaired_ranks:
-        survivors.pop(victim)
-    survivors = tuple(survivors)
-
-    named = None
-    if telemetry.diagnoses:
-        named = all(
-            d.suspect_rank == point.rank for d in telemetry.diagnoses
-        )
-
-    # Invariant 1: bounded simulated time (no deadlock).  Every attempt is
-    # cut off by the watchdog or an interrupt, so total time cannot exceed
-    # one timeout per (attempt + repair) plus the accounted backoff.
-    bound = (telemetry.retries + telemetry.repairs + 1) * timeout
-    bound += telemetry.backoff + 1e-9
-    if telemetry.sim_time > bound:
-        return fail(
-            f"sim time {telemetry.sim_time:g}s exceeds watchdog bound "
-            f"{bound:g}s", survivors=survivors, named=named,
-        )
-
-    # Invariant 2: survivor results bit-exact vs the fault-free reference
-    # on the survivor group.
-    expected = np.sum([inputs[r] for r in survivors], axis=0, dtype=np.int64)
-    if len(buffers) != len(survivors):
-        return fail(
-            f"{len(buffers)} result buffers for {len(survivors)} survivors",
-            survivors=survivors, named=named,
-        )
-    for i, buf in enumerate(buffers):
-        if not np.array_equal(buf.array, expected):
-            return fail(
-                f"survivor {survivors[i]} result differs from the "
-                f"fault-free survivor-group sum", survivors=survivors,
-                named=named,
-            )
-
-    # Invariant 3: telemetry consistency.
-    if telemetry.retries != len(telemetry.diagnoses):
-        return fail(
-            f"{telemetry.retries} retries but {len(telemetry.diagnoses)} "
-            "diagnoses", survivors=survivors, named=named,
-        )
-    want_backoff = retry_backoff * (2 ** telemetry.retries - 1)
-    if abs(telemetry.backoff - want_backoff) > 1e-9 * max(1.0, want_backoff):
-        return fail(
-            f"backoff {telemetry.backoff:g}s is not the geometric sum "
-            f"{want_backoff:g}s of {telemetry.retries} retries",
-            survivors=survivors, named=named,
-        )
-    if point.kind == "crash":
-        if fired and telemetry.retries != 0:
-            return fail(
-                "surgical repair consumed the retry budget "
-                f"({telemetry.retries} retries for a diagnosed crash)",
-                survivors=survivors, named=named,
-            )
-        if fired and telemetry.repairs != 1:
-            return fail(
-                f"{telemetry.repairs} repairs for one crash",
-                survivors=survivors, named=named,
-            )
-    else:
-        if telemetry.repairs != 0:
-            return fail(
-                f"{telemetry.repairs} repairs for a {point.kind} fault",
-                survivors=survivors, named=named,
-            )
-        if fired and named is not True:
-            return fail(
-                "watchdog diagnosis did not name the injected victim "
-                f"(suspects: "
-                f"{[d.suspect_rank for d in telemetry.diagnoses]}, "
-                f"victim: rank {point.rank})",
-                survivors=survivors, named=named,
-            )
-
-    return ChaosOutcome(
-        point=point, ok=True, fired=fired, survivors=survivors,
-        retries=telemetry.retries, repairs=telemetry.repairs,
-        sim_time=telemetry.sim_time, diagnosis_named_victim=named,
-    )
-
-
-def chaos_sweep(
-    algorithms: list[str] | None = None,
-    n_ranks: tuple[int, ...] = (4,),
-    *,
-    kinds: tuple[str, ...] = DEFAULT_KINDS,
-    count: int = DEFAULT_COUNT,
-    itemsize: int = DEFAULT_ITEMSIZE,
-    max_points_per_rank: int | None = None,
-    timeout_factor: float = DEFAULT_TIMEOUT_FACTOR,
-    topology: str = "star",
-    **compile_kwargs,
-) -> ChaosReport:
-    """Sweep every fault point of every (algorithm, group size) pair."""
-    report = ChaosReport()
-    for name in algorithms if algorithms is not None else sorted(ALLREDUCE_COMPILERS):
-        allreduce_compiler(name)
-        for n in n_ranks:
-            points, ref = enumerate_points(
-                name, n, kinds=kinds, count=count, itemsize=itemsize,
-                max_points_per_rank=max_points_per_rank,
-                topology=topology, **compile_kwargs,
-            )
-            for point in points:
-                report.outcomes.append(run_point(
-                    point, reference=ref, count=count, itemsize=itemsize,
-                    timeout_factor=timeout_factor, topology=topology,
-                    **compile_kwargs,
-                ))
-    return report
-
-
-# -- data-plane (shuffle) chaos -----------------------------------------------
-
-SHUFFLE_SEED = 7
-
-
-def shuffle_chaos_stores(
-    n_ranks: int, *, per_rank: int = SHUFFLE_PER_RANK
-) -> list[DIMDStore]:
-    """Deterministic opaque-blob stores, distinct across ranks and records."""
-    stores = []
-    for rank in range(n_ranks):
-        rng = np.random.default_rng(0x5F0C4A05 + rank)
-        records = [
-            bytes(rng.integers(0, 256, size=int(rng.integers(40, 56)), dtype=np.uint8))
-            for _ in range(per_rank)
-        ]
-        labels = np.arange(rank * per_rank, (rank + 1) * per_rank, dtype=np.int64)
-        stores.append(DIMDStore(records, labels, learner=rank))
-    return stores
+        for r, store in enumerate(stores)
+    ]
+    return comm.engine.all_of(procs), progress.finish_times
 
 
 def _global_multiset(stores: list[DIMDStore]) -> list[tuple[bytes, int]]:
@@ -528,122 +323,17 @@ def _global_multiset(stores: list[DIMDStore]) -> list[tuple[bytes, int]]:
     return sorted(combined)
 
 
-class _RecordingShuffleProgress(ShuffleProgress):
-    """Shuffle progress tracker that additionally keeps advance times."""
-
-    def __init__(self, n_ranks: int):
-        super().__init__(n_ranks)
-        self.advance_times: dict[int, list[float]] = {}
-
-    def end_recv(self, rank: int, now: float) -> None:
-        super().end_recv(rank, now)
-        self.advance_times.setdefault(rank, []).append(now)
-
-
-def shuffle_reference_run(
-    n_ranks: int,
-    *,
-    per_rank: int = SHUFFLE_PER_RANK,
-    max_chunk_bytes: int = SHUFFLE_CHUNK_BYTES,
-    topology: str = "star",
-) -> ReferenceRun:
-    """Run the shuffle fault-free and record every receive-completion
-    (crash boundary) and send-post time per rank."""
-    stores = shuffle_chaos_stores(n_ranks, per_rank=per_rank)
-    engine, world, comm = build_world(n_ranks, topology=topology)
-    progress = _RecordingShuffleProgress(n_ranks)
-
-    send_times: dict[int, set[float]] = {r: set() for r in range(n_ranks)}
-
-    def observe(src, dst, tag, nbytes):
-        send_times[src].add(engine.now)
-
-    world.send_observers.append(observe)
-    start = engine.now
-    procs = [
-        engine.process(
-            distributed_shuffle(
-                comm, r, stores[r], seed=SHUFFLE_SEED, round_id=0,
-                max_chunk_bytes=max_chunk_bytes, progress=progress,
-            ),
-            name=f"shuffle{r}",
-        )
-        for r in range(n_ranks)
-    ]
-    engine.run(engine.all_of(procs))
-    for s in stores:
-        s.finalize_shuffle(0)
-    boundaries = {
-        r: tuple(sorted({0.0, *progress.advance_times.get(r, [])}))
-        for r in range(n_ranks)
-    }
-    return ReferenceRun(
-        algorithm="shuffle",
-        n_ranks=n_ranks,
-        elapsed=engine.now - start,
-        boundaries=boundaries,
-        send_times={r: tuple(sorted(send_times[r])) for r in range(n_ranks)},
-    )
-
-
-def enumerate_shuffle_points(
-    n_ranks: int,
-    *,
-    kinds: tuple[str, ...] = SHUFFLE_KINDS,
-    per_rank: int = SHUFFLE_PER_RANK,
-    max_chunk_bytes: int = SHUFFLE_CHUNK_BYTES,
-    max_points_per_rank: int | None = None,
-    topology: str = "star",
-) -> tuple[list[ChaosPoint], ReferenceRun]:
-    """Enumerate every injectable fault point of one shuffle group size.
-
-    Crash points are each rank's receive-completion instants (plus t=0,
-    covering every pass and exchange step of the transactional shuffle);
-    drop/delay/corrupt points are each rank's distinct send-post instants.
-    """
-    for kind in kinds:
-        if kind not in SHUFFLE_KINDS:
-            raise ValueError(f"unknown chaos kind {kind!r}; use {SHUFFLE_KINDS}")
-    ref = shuffle_reference_run(
-        n_ranks, per_rank=per_rank, max_chunk_bytes=max_chunk_bytes,
-        topology=topology,
-    )
-    points: list[ChaosPoint] = []
-    for rank in range(n_ranks):
-        if "crash" in kinds:
-            times = _subsample(ref.boundaries[rank], max_points_per_rank)
-            capped = len(times) < len(ref.boundaries[rank])
-            for i, t in enumerate(times):
-                points.append(ChaosPoint(
-                    "shuffle", n_ranks, "crash", rank, t,
-                    note=f"boundary {i}/{len(times)}"
-                    + (" (subsampled)" if capped else ""),
-                ))
-        for kind in ("drop", "delay", "corrupt"):
-            if kind not in kinds:
-                continue
-            times = _subsample(ref.send_times[rank], max_points_per_rank)
-            capped = len(times) < len(ref.send_times[rank])
-            for i, t in enumerate(times):
-                points.append(ChaosPoint(
-                    "shuffle", n_ranks, kind, rank, t,
-                    note=f"send {i}/{len(times)}"
-                    + (" (subsampled)" if capped else ""),
-                ))
-    return points, ref
-
-
+@functools.lru_cache(maxsize=64)
 def _shuffle_end_state(
-    n_ranks: int,
-    victims: tuple[int, ...],
-    *,
-    per_rank: int,
-    max_chunk_bytes: int,
-    timeout: float,
-    topology: str,
+    n_ranks: int, victims: tuple[int, ...], per_rank: int,
+    max_chunk_bytes: int, timeout: float, topology: str,
 ) -> list[DIMDStore]:
     """Fault-free survivor-group end state: pop victims (in repair order,
-    dealing each one's records), then run the same shuffle round."""
+    dealing each one's records), then run the same shuffle round.
+
+    Cached because every point of a sweep with the same victims compares
+    against it; callers only read the returned stores.
+    """
     live = shuffle_chaos_stores(n_ranks, per_rank=per_rank)
     for victim in victims:
         dead = live.pop(victim)
@@ -655,203 +345,292 @@ def _shuffle_end_state(
     return live
 
 
-def run_shuffle_point(
-    point: ChaosPoint,
-    *,
-    reference: ReferenceRun,
-    per_rank: int = SHUFFLE_PER_RANK,
-    max_chunk_bytes: int = SHUFFLE_CHUNK_BYTES,
-    timeout_factor: float = DEFAULT_TIMEOUT_FACTOR,
-    max_retries: int = 3,
-    topology: str = "star",
-    _end_state_cache: dict | None = None,
-) -> ChaosOutcome:
-    """Inject one fault point under ``run_shuffle_guarded`` and check the
-    data-plane invariants (see the module docstring)."""
-    n = point.n_ranks
-    stores = shuffle_chaos_stores(n, per_rank=per_rank)
+def _shuffle_guarded(
+    point, guard, *, per_rank=SHUFFLE_PER_RANK,
+    max_chunk_bytes=SHUFFLE_CHUNK_BYTES,
+):
+    stores = shuffle_chaos_stores(point.n_ranks, per_rank=per_rank)
     before = _global_multiset(stores)
-    timeout = max(timeout_factor * reference.elapsed, 1e-4)
-    retry_backoff = timeout / 4.0
-    if point.kind == "crash":
-        spec = FaultSpec("crash", 0, rank=point.rank, at=point.at)
-    elif point.kind == "drop":
-        spec = FaultSpec("drop", 0, rank=point.rank, at=point.at, count=1)
-    elif point.kind == "corrupt":
-        spec = FaultSpec("corrupt", 0, rank=point.rank, at=point.at, count=1)
-    else:
-        spec = FaultSpec(
-            "delay", 0, rank=point.rank, at=point.at, count=1,
-            seconds=2.0 * timeout,
-        )
-    injector = FaultInjector(FaultPlan([spec]))
-    telemetry = CollectiveTelemetry()
+    run_shuffle_guarded(
+        stores, seed=SHUFFLE_SEED, round_id=0,
+        max_chunk_bytes=max_chunk_bytes, **guard,
+    )
 
-    def fail(detail: str, **kw) -> ChaosOutcome:
-        return ChaosOutcome(
-            point=point, ok=False,
-            fired=bool(injector.events),
-            survivors=kw.get("survivors", ()),
-            retries=telemetry.retries, repairs=telemetry.repairs,
-            sim_time=telemetry.sim_time,
-            diagnosis_named_victim=kw.get("named"),
-            detail=detail,
-        )
-
-    try:
-        run_shuffle_guarded(
-            stores,
-            seed=SHUFFLE_SEED,
-            round_id=0,
-            timeout=timeout,
-            max_retries=max_retries,
-            retry_backoff=retry_backoff,
-            topology=topology,
-            max_chunk_bytes=max_chunk_bytes,
-            tag=("chaos", point.kind, point.rank),
-            fault_injector=injector,
-            iteration=0,
-            telemetry=telemetry,
-            repair=True,
-        )
-    except CollectiveTimeout as exc:
-        return fail(f"retry budget exhausted (possible deadlock): {exc}")
-    except RankFailure as exc:  # pragma: no cover - repair=True absorbs these
-        return fail(f"unrepaired rank failure: {exc}")
-
-    fired = bool(injector.events)
-    survivors = list(range(n))
-    for victim in telemetry.repaired_ranks:
-        survivors.pop(victim)
-    survivors = tuple(survivors)
-    live = [stores[r] for r in survivors]
-
-    named = None
-    if telemetry.diagnoses:
-        named = all(
-            d.suspect_rank == point.rank for d in telemetry.diagnoses
-        )
-
-    # Invariant 1: bounded simulated time (no deadlock).
-    bound = (telemetry.retries + telemetry.repairs + 1) * timeout
-    bound += telemetry.backoff + 1e-9
-    if telemetry.sim_time > bound:
-        return fail(
-            f"sim time {telemetry.sim_time:g}s exceeds watchdog bound "
-            f"{bound:g}s", survivors=survivors, named=named,
-        )
-
-    # Invariant 2: record conservation — zero lost or duplicated records
-    # across the surviving stores (a crashed rank's partition was dealt to
-    # the survivors, so the global multiset is unchanged).
-    if _global_multiset(live) != before:
-        return fail(
-            "record multiset changed across the shuffle "
-            f"({sum(len(s) for s in live)} records across "
-            f"{len(live)} survivors vs {len(before)} before)",
-            survivors=survivors, named=named,
-        )
-
-    # Invariant 3: repair determinism — surviving partitions bit-identical
-    # to a fault-free shuffle over the same survivor group.
-    cache = _end_state_cache if _end_state_cache is not None else {}
-    key = (n, tuple(telemetry.repaired_ranks))
-    if key not in cache:
-        cache[key] = _shuffle_end_state(
-            n, tuple(telemetry.repaired_ranks), per_rank=per_rank,
-            max_chunk_bytes=max_chunk_bytes, timeout=timeout,
-            topology=topology,
-        )
-    expected = cache[key]
-    for got, want in zip(live, expected):
-        if got.records != want.records or not np.array_equal(
-            got.labels, want.labels
-        ):
-            return fail(
-                f"survivor {got.learner} partition differs from the "
-                "fault-free survivor-group shuffle",
-                survivors=survivors, named=named,
+    def violations(survivors, victims):
+        live = [stores[r] for r in survivors]
+        # Record conservation: zero lost or duplicated records.
+        if _global_multiset(live) != before:
+            yield (
+                "record multiset changed across the shuffle "
+                f"({sum(len(s) for s in live)} records across "
+                f"{len(live)} survivors vs {len(before)} before)"
             )
-
-    # Invariant 4: telemetry consistency.
-    if telemetry.retries != len(telemetry.diagnoses):
-        return fail(
-            f"{telemetry.retries} retries but {len(telemetry.diagnoses)} "
-            "diagnoses", survivors=survivors, named=named,
+        # Repair determinism: partitions bit-identical to a fault-free
+        # shuffle over the same survivor group.
+        expected = _shuffle_end_state(
+            point.n_ranks, victims, per_rank, max_chunk_bytes,
+            guard["timeout"], guard["topology"],
         )
-    want_backoff = retry_backoff * (2 ** telemetry.retries - 1)
-    if abs(telemetry.backoff - want_backoff) > 1e-9 * max(1.0, want_backoff):
-        return fail(
-            f"backoff {telemetry.backoff:g}s is not the geometric sum "
-            f"{want_backoff:g}s of {telemetry.retries} retries",
-            survivors=survivors, named=named,
-        )
-    if point.kind == "crash":
-        if fired and telemetry.retries != 0:
-            return fail(
-                "surgical repair consumed the retry budget "
-                f"({telemetry.retries} retries for a diagnosed crash)",
-                survivors=survivors, named=named,
-            )
-        if fired and telemetry.repairs != 1:
-            return fail(
-                f"{telemetry.repairs} repairs for one crash",
-                survivors=survivors, named=named,
-            )
-    else:
-        if telemetry.repairs != 0:
-            return fail(
-                f"{telemetry.repairs} repairs for a {point.kind} fault",
-                survivors=survivors, named=named,
-            )
-        if fired and named is not True:
-            return fail(
-                "diagnosis did not name the injected victim (suspects: "
-                f"{[d.suspect_rank for d in telemetry.diagnoses]}, "
-                f"victim: rank {point.rank})",
-                survivors=survivors, named=named,
-            )
-
-    # Invariant 5: no leaked shuffle transactions on any store (victims
-    # included — a rolled-back rank must not keep its snapshot open).
-    if any(s.in_transaction for s in stores):
+        for got, want in zip(live, expected):
+            if got.records != want.records or not np.array_equal(
+                got.labels, want.labels
+            ):
+                yield (
+                    f"survivor {got.learner} partition differs from the "
+                    "fault-free survivor-group shuffle"
+                )
+        # No leaked transactions, victims included.
         leaked = [s.learner for s in stores if s.in_transaction]
-        return fail(
-            f"open shuffle transaction leaked on store(s) {leaked}",
-            survivors=survivors, named=named,
-        )
+        if leaked:
+            yield f"open shuffle transaction leaked on store(s) {leaked}"
 
-    return ChaosOutcome(
-        point=point, ok=True, fired=fired, survivors=survivors,
-        retries=telemetry.retries, repairs=telemetry.repairs,
-        sim_time=telemetry.sim_time, diagnosis_named_victim=named,
+    return violations
+
+
+# -- one harness over both planes ---------------------------------------------
+
+@dataclass(frozen=True)
+class _Plane:
+    """What differs per plane; everything else in this module is shared."""
+
+    kinds: tuple[str, ...]
+    #: ``(algorithm, comm, **opts) -> (done event, rank -> progress times)``
+    reference: Callable
+    #: ``(point, guard kwargs, **opts) -> violations(survivors, victims)``:
+    #: runs the guarded call, then checks the plane's result invariants.
+    guarded: Callable
+
+
+_PLANES = {
+    "allreduce": _Plane(DEFAULT_KINDS, _allreduce_reference, _allreduce_guarded),
+    "shuffle": _Plane(SHUFFLE_KINDS, _shuffle_reference, _shuffle_guarded),
+}
+
+
+def _plane(algorithm: str) -> _Plane:
+    if algorithm == "shuffle":
+        return _PLANES["shuffle"]
+    allreduce_compiler(algorithm)  # rejects unknown names
+    return _PLANES["allreduce"]
+
+
+def reference_run(
+    algorithm: str, n_ranks: int, *, topology: str = "star", **opts
+) -> ReferenceRun:
+    """Run ``algorithm`` (an allreduce name, or ``"shuffle"``) fault-free
+    and record every rank's progress instants (step completions or
+    receive completions) and send-post times."""
+    plane = _plane(algorithm)
+    engine, world, comm = build_world(n_ranks, topology=topology)
+    send_times: dict[int, set[float]] = {r: set() for r in range(n_ranks)}
+
+    def observe(src, dst, tag, nbytes):
+        send_times[src].add(engine.now)
+
+    world.send_observers.append(observe)
+    done, progress_times = plane.reference(algorithm, comm, **opts)
+    engine.run(done)
+    return ReferenceRun(
+        algorithm=algorithm,
+        n_ranks=n_ranks,
+        elapsed=engine.now,
+        boundaries={
+            r: tuple(sorted({0.0, *progress_times.get(r, [])}))
+            for r in range(n_ranks)
+        },
+        send_times={r: tuple(sorted(send_times[r])) for r in range(n_ranks)},
     )
 
 
-def shuffle_chaos_sweep(
+def enumerate_points(
+    algorithm: str,
+    n_ranks: int,
+    *,
+    kinds: tuple[str, ...] | None = None,
+    max_points_per_rank: int | None = None,
+    topology: str = "star",
+    **opts,
+) -> tuple[list[ChaosPoint], ReferenceRun]:
+    """Enumerate every injectable fault point of one (algorithm, size).
+
+    Crash points are each rank's progress instants (plus t=0); the other
+    kinds use each rank's distinct send-post instants.  ``kinds`` defaults
+    to every kind the plane supports.  With ``max_points_per_rank``,
+    instants are evenly subsampled per rank — the cap is recorded in the
+    point notes, never silent.
+    """
+    plane = _plane(algorithm)
+    kinds = plane.kinds if kinds is None else kinds
+    for kind in kinds:
+        if kind not in plane.kinds:
+            raise ValueError(f"unknown chaos kind {kind!r}; use {plane.kinds}")
+    ref = reference_run(algorithm, n_ranks, topology=topology, **opts)
+    points: list[ChaosPoint] = []
+    for rank in range(n_ranks):
+        for kind in (k for k in plane.kinds if k in kinds):
+            crash = kind == "crash"
+            instants = ref.boundaries[rank] if crash else ref.send_times[rank]
+            times = spread_sample(instants, max_points_per_rank)
+            capped = " (subsampled)" if len(times) < len(instants) else ""
+            for i, t in enumerate(times):
+                points.append(ChaosPoint(
+                    algorithm, n_ranks, kind, rank, t,
+                    note=f"{'boundary' if crash else 'send'} {i}/{len(times)}"
+                    + capped,
+                ))
+    return points, ref
+
+
+def _fault_spec(point: ChaosPoint, timeout: float) -> FaultSpec:
+    if point.kind == "crash":
+        return FaultSpec("crash", 0, rank=point.rank, at=point.at)
+    if point.kind == "delay":
+        return FaultSpec(
+            "delay", 0, rank=point.rank, at=point.at, count=1,
+            seconds=2.0 * timeout,
+        )
+    return FaultSpec(point.kind, 0, rank=point.rank, at=point.at, count=1)
+
+
+def _guard_violations(
+    point: ChaosPoint,
+    telemetry: CollectiveTelemetry,
+    *,
+    timeout: float,
+    retry_backoff: float,
+    fired: bool,
+    named: bool | None,
+) -> Iterator[str]:
+    """The shared invariants: watchdog bound and telemetry consistency."""
+    # Every attempt is cut off by the watchdog or an interrupt, so total
+    # time cannot exceed one timeout per (attempt + repair) plus backoff.
+    bound = (telemetry.retries + telemetry.repairs + 1) * timeout
+    bound += telemetry.backoff + 1e-9
+    if telemetry.sim_time > bound:
+        yield (
+            f"sim time {telemetry.sim_time:g}s exceeds watchdog bound "
+            f"{bound:g}s"
+        )
+    if telemetry.retries != len(telemetry.diagnoses):
+        yield (
+            f"{telemetry.retries} retries but {len(telemetry.diagnoses)} "
+            "diagnoses"
+        )
+    want_backoff = retry_backoff * (2 ** telemetry.retries - 1)
+    if abs(telemetry.backoff - want_backoff) > 1e-9 * max(1.0, want_backoff):
+        yield (
+            f"backoff {telemetry.backoff:g}s is not the geometric sum "
+            f"{want_backoff:g}s of {telemetry.retries} retries"
+        )
+    if point.kind == "crash":
+        if fired and telemetry.retries != 0:
+            yield (
+                "surgical repair consumed the retry budget "
+                f"({telemetry.retries} retries for a diagnosed crash)"
+            )
+        if fired and telemetry.repairs != 1:
+            yield f"{telemetry.repairs} repairs for one crash"
+    else:
+        if telemetry.repairs != 0:
+            yield f"{telemetry.repairs} repairs for a {point.kind} fault"
+        if fired and named is not True:
+            yield (
+                "diagnosis did not name the injected victim (suspects: "
+                f"{[d.suspect_rank for d in telemetry.diagnoses]}, "
+                f"victim: rank {point.rank})"
+            )
+
+
+def run_point(
+    point: ChaosPoint,
+    *,
+    reference: ReferenceRun,
+    timeout_factor: float = DEFAULT_TIMEOUT_FACTOR,
+    max_retries: int = 3,
+    topology: str = "star",
+    **opts,
+) -> ChaosOutcome:
+    """Inject one fault point under its plane's guarded call and check the
+    shared and plane invariants (see the module docstring)."""
+    timeout = max(timeout_factor * reference.elapsed, 1e-4)
+    retry_backoff = timeout / 4.0
+    injector = FaultInjector(FaultPlan([_fault_spec(point, timeout)]))
+    telemetry = CollectiveTelemetry()
+    survivors: tuple[int, ...] = ()
+    named = None
+    try:
+        violations = _plane(point.algorithm).guarded(
+            point,
+            dict(
+                timeout=timeout,
+                max_retries=max_retries,
+                retry_backoff=retry_backoff,
+                topology=topology,
+                tag=("chaos", point.kind, point.rank),
+                fault_injector=injector,
+                iteration=0,
+                telemetry=telemetry,
+                repair=True,
+            ),
+            **opts,
+        )
+    except CollectiveTimeout as exc:
+        detail = f"retry budget exhausted (possible deadlock): {exc}"
+    except RankFailure as exc:  # pragma: no cover - repair=True absorbs these
+        detail = f"unrepaired rank failure: {exc}"
+    else:
+        alive = list(range(point.n_ranks))
+        for victim in telemetry.repaired_ranks:
+            alive.pop(victim)
+        survivors = tuple(alive)
+        if telemetry.diagnoses:
+            named = all(
+                d.suspect_rank == point.rank for d in telemetry.diagnoses
+            )
+        shared = _guard_violations(
+            point, telemetry, timeout=timeout, retry_backoff=retry_backoff,
+            fired=bool(injector.events), named=named,
+        )
+        detail = next(shared, None) or next(
+            violations(survivors, tuple(telemetry.repaired_ranks)), None
+        )
+    return ChaosOutcome(
+        point=point, ok=detail is None,
+        fired=bool(injector.events), survivors=survivors,
+        retries=telemetry.retries, repairs=telemetry.repairs,
+        sim_time=telemetry.sim_time, diagnosis_named_victim=named,
+        detail=detail or "",
+    )
+
+
+def chaos_sweep(
+    algorithms: list[str] | None = None,
     n_ranks: tuple[int, ...] = (4,),
     *,
-    kinds: tuple[str, ...] = SHUFFLE_KINDS,
-    per_rank: int = SHUFFLE_PER_RANK,
-    max_chunk_bytes: int = SHUFFLE_CHUNK_BYTES,
+    kinds: tuple[str, ...] | None = None,
     max_points_per_rank: int | None = None,
     timeout_factor: float = DEFAULT_TIMEOUT_FACTOR,
     topology: str = "star",
+    **opts,
 ) -> ChaosReport:
-    """Sweep every shuffle fault point of every group size."""
+    """Sweep every fault point of every (algorithm, group size) pair.
+
+    ``algorithms`` defaults to every registered allreduce; ``["shuffle"]``
+    sweeps the data plane.  ``opts`` go to the plane: ``count``,
+    ``itemsize`` and compiler keywords for the allreduce, ``per_rank`` and
+    ``max_chunk_bytes`` for the shuffle.
+    """
     report = ChaosReport()
-    for n in n_ranks:
-        points, ref = enumerate_shuffle_points(
-            n, kinds=kinds, per_rank=per_rank,
-            max_chunk_bytes=max_chunk_bytes,
-            max_points_per_rank=max_points_per_rank, topology=topology,
-        )
-        cache: dict = {}
-        for point in points:
-            report.outcomes.append(run_shuffle_point(
-                point, reference=ref, per_rank=per_rank,
-                max_chunk_bytes=max_chunk_bytes,
-                timeout_factor=timeout_factor, topology=topology,
-                _end_state_cache=cache,
-            ))
+    for name in algorithms if algorithms is not None else sorted(ALLREDUCE_COMPILERS):
+        _plane(name)
+        for n in n_ranks:
+            points, ref = enumerate_points(
+                name, n, kinds=kinds, max_points_per_rank=max_points_per_rank,
+                topology=topology, **opts,
+            )
+            for point in points:
+                report.outcomes.append(run_point(
+                    point, reference=ref, timeout_factor=timeout_factor,
+                    topology=topology, **opts,
+                ))
     return report

@@ -52,11 +52,7 @@ from repro.mpi.collectives.recursive import (
     compile_recursive_doubling,
 )
 from repro.mpi.collectives.ring import compile_pipelined_ring
-from repro.mpi.collectives.rsag import (
-    compile_ring_allgather,
-    compile_ring_reduce_scatter,
-    compile_rsag,
-)
+from repro.mpi.collectives.rsag import compile_rsag
 from repro.mpi.collectives.trees import (
     Tree,
     binomial_tree,
@@ -122,8 +118,6 @@ __all__ = [
     "compile_pipelined_ring",
     "compile_rabenseifner",
     "compile_recursive_doubling",
-    "compile_ring_allgather",
-    "compile_ring_reduce_scatter",
     "compile_rsag",
     "internal_nodes",
     "kary_bfs_tree",

@@ -17,16 +17,10 @@ cross-group exchange in between.
 from __future__ import annotations
 
 from repro.mpi.datatypes import chunk_ranges
-from repro.mpi.schedule import (
-    Schedule,
-    ScheduleBuilder,
-    memoize_compiler,
-)
+from repro.mpi.schedule import Schedule, ScheduleBuilder, memoize_compiler
 
 __all__ = [
     "compile_rsag",
-    "compile_ring_reduce_scatter",
-    "compile_ring_allgather",
     "emit_ring_reduce_scatter",
     "emit_ring_allgather",
 ]
@@ -94,36 +88,6 @@ def emit_ring_allgather(
             )
         tails.append(prev)
     return tails
-
-
-@memoize_compiler
-def compile_ring_reduce_scatter(n_ranks: int, count: int, itemsize: int) -> Schedule:
-    """Standalone ring reduce-scatter schedule over N equal chunks."""
-    b = ScheduleBuilder(
-        n_ranks, name=f"ring_reduce_scatter(n={n_ranks})",
-        count=count, itemsize=itemsize,
-    )
-    if n_ranks > 1:
-        emit_ring_reduce_scatter(
-            b, list(range(n_ranks)), chunk_ranges(count, n_ranks),
-            (), [None] * n_ranks,
-        )
-    return b.build()
-
-
-@memoize_compiler
-def compile_ring_allgather(n_ranks: int, count: int, itemsize: int) -> Schedule:
-    """Standalone ring allgather schedule (owner convention ``(i+1) mod N``)."""
-    b = ScheduleBuilder(
-        n_ranks, name=f"ring_allgather(n={n_ranks})",
-        count=count, itemsize=itemsize,
-    )
-    if n_ranks > 1:
-        emit_ring_allgather(
-            b, list(range(n_ranks)), chunk_ranges(count, n_ranks),
-            (), [None] * n_ranks,
-        )
-    return b.build()
 
 
 @memoize_compiler

@@ -43,8 +43,10 @@ Executor-layer services
   sim process per strand plus one *proxy* process per rank; fault
   injectors interrupt the proxies.  Per-rank sent-byte accounting taps
   :attr:`MPIWorld.send_observers` (no monkeypatching).
-* :func:`run_guarded` — the watchdog/retry/fault-arming loop that used to
-  live inside ``DistributedSGDTrainer._allreduce``, written once here.
+* :func:`guard_attempts` — the one watchdog/retry/repair loop, shared by
+  every :class:`GuardedPlane`: :func:`run_guarded` (schedule-compiled
+  collectives) and :func:`repro.data.guard.run_shuffle_guarded` (the DIMD
+  shuffle) each supply only what differs between their planes.
 * :func:`validate_schedule` — the schedule lint: acyclic (including
   cross-rank message edges), every receive matched by a send, balanced
   per-rank step counts, consistent element ranges.
@@ -74,6 +76,7 @@ __all__ = [
     "ExecutionProgress",
     "ExecutionStats",
     "FailureDiagnosis",
+    "GuardedPlane",
     "OptimStep",
     "RankFailure",
     "StalledStep",
@@ -86,6 +89,7 @@ __all__ = [
     "ScheduleExecutor",
     "SendStep",
     "format_schedule",
+    "guard_attempts",
     "memoize_compiler",
     "run_guarded",
     "validate_schedule",
@@ -1184,8 +1188,8 @@ class ScheduleExecutor:
 class CollectiveTelemetry:
     """What one guarded collective cost: time, retries, faults observed.
 
-    ``diagnoses`` collects one :class:`FailureDiagnosis` per watchdog
-    timeout; ``repaired_ranks`` lists the *group rank at failure time* of
+    ``diagnoses`` collects one :class:`FailureDiagnosis` per retry (a
+    watchdog stall or a transient failure); ``repaired_ranks`` lists the *group rank at failure time* of
     every victim surgically repaired around (in repair order — callers
     replay the pops against their own slot bookkeeping).
     """
@@ -1201,6 +1205,139 @@ class CollectiveTelemetry:
     def repairs(self) -> int:
         """Surgical in-attempt repairs performed (permanent rank losses)."""
         return len(self.repaired_ranks)
+
+
+class GuardedPlane:
+    """What one kind of guarded traffic supplies to :func:`guard_attempts`.
+
+    The loop owns the watchdog, retry budget, backoff, surgical repair and
+    :class:`CollectiveTimeout`; a plane (the allreduce here, the DIMD
+    shuffle in :mod:`repro.data.guard`) implements only what differs:
+    ``size`` (ranks in the current group), ``launch(comm) -> (done event,
+    rank processes)``, ``undo()`` (restore every rank's pre-attempt state
+    after a failure), ``drop(rank)`` (remove a permanently lost rank, after
+    ``undo``), ``diagnose(now, error)`` (attribute a stall, ``error=None``,
+    or a :attr:`transient` exception) and ``result()``.
+    """
+
+    #: Exceptions besides the watchdog that fail an attempt transiently.
+    transient: tuple[type[BaseException], ...] = ()
+
+    def solo(self) -> Any:
+        """The result for a group of one, where no attempt runs."""
+        return self.result()
+
+
+def guard_attempts(
+    plane: GuardedPlane,
+    *,
+    timeout: float,
+    max_retries: int,
+    retry_backoff: float,
+    topology: str,
+    fault_injector,
+    iteration: int,
+    telemetry: CollectiveTelemetry,
+    repair: bool,
+) -> Any:
+    """The one watchdog/retry/repair loop behind every guarded plane.
+
+    Each attempt builds a fresh world, launches the plane, arms
+    ``fault_injector`` against its rank processes and races completion
+    against ``timeout``.  Any failed attempt is undone first.  A
+    :class:`RankFailure` is repaired surgically when ``repair`` is set (the
+    victim is dropped and the group re-runs; no retry budget is spent) and
+    propagates otherwise.  A watchdog stall or a transient exception is
+    diagnosed and retried up to ``max_retries`` times with doubling
+    backoff accounted in simulated time, then raises
+    :class:`CollectiveTimeout` carrying the last diagnosis.
+    """
+    from repro.mpi.runner import build_world  # local import: avoids a cycle
+
+    attempts = 0
+    backoff = retry_backoff
+    while True:
+        if plane.size == 1:
+            return plane.solo()
+        engine, world, comm = build_world(plane.size, topology=topology)
+        done, rank_procs = plane.launch(comm)
+        mark = len(fault_injector.events) if fault_injector is not None else 0
+        if fault_injector is not None:
+            fault_injector.arm(engine, world, rank_procs, iteration)
+        deadline = engine.timeout(timeout)
+        error: BaseException | None = None
+        try:
+            engine.run(engine.any_of([done, deadline]))
+        except (Interrupt, *plane.transient) as exc:
+            error = exc
+        telemetry.sim_time += engine.now
+        if fault_injector is not None:
+            telemetry.fault_events.extend(fault_injector.events_since(mark))
+        if error is None and done.triggered:
+            return plane.result()
+        plane.undo()
+        if isinstance(error, Interrupt):
+            cause = error.cause
+            if not isinstance(cause, RankFailure):
+                raise error
+            if not repair:
+                raise cause from error
+            telemetry.repaired_ranks.append(cause.rank)
+            plane.drop(cause.rank)
+            continue
+        diagnosis = plane.diagnose(engine.now, error)
+        telemetry.diagnoses.append(diagnosis)
+        attempts += 1
+        telemetry.retries += 1
+        if attempts > max_retries:
+            raise CollectiveTimeout(
+                timeout, iteration, attempts, diagnosis
+            ) from error
+        telemetry.backoff += backoff
+        telemetry.sim_time += backoff
+        backoff *= 2
+
+
+class _AllreducePlane(GuardedPlane):
+    """The schedule-compiled collective as a guarded plane."""
+
+    def __init__(self, compiler, buffers, tag, model, grace, compile_kwargs):
+        self.compiler = compiler
+        self.buffers = buffers
+        self.snapshots = [b.extract() for b in buffers]
+        self.tag = tag
+        self.model = model
+        self.grace = grace
+        self.compile_kwargs = compile_kwargs
+        self.executor: ScheduleExecutor | None = None
+
+    @property
+    def size(self) -> int:
+        return len(self.buffers)
+
+    def launch(self, comm):
+        first = self.buffers[0]
+        schedule = self.compiler(
+            comm.size, first.count, first.itemsize, **self.compile_kwargs
+        )
+        self.executor = ScheduleExecutor(comm, schedule, self.buffers, tag=self.tag)
+        return self.executor.launch(), self.executor.rank_procs
+
+    def undo(self):
+        # A failed attempt may already have merged partial RecvReduceStep
+        # results; re-running on those would double-reduce them.
+        for buf, snap in zip(self.buffers, self.snapshots):
+            buf.copy_(snap)
+
+    def drop(self, rank):
+        del self.buffers[rank]
+        del self.snapshots[rank]
+
+    def diagnose(self, now, error):
+        return self.executor.diagnose(model=self.model, grace=self.grace)
+
+    def result(self):
+        return self.buffers
 
 
 def run_guarded(
@@ -1222,98 +1359,40 @@ def run_guarded(
 ) -> tuple[list[Buffer], CollectiveTelemetry]:
     """Run one collective under a watchdog with bounded-backoff retries.
 
-    This is the failure-detection loop that previously lived inside
-    ``DistributedSGDTrainer._allreduce``, hoisted to the executor layer so
-    every schedule-compiled collective gets it for free:
+    The allreduce plane of :func:`guard_attempts`:
 
     * ``make_buffers()`` is called **once**; each rank's input is
-      snapshotted up front and restored before every re-run.  A retried
-      attempt therefore starts from the pristine inputs even when the
-      previous attempt had already merged partial ``RecvReduceStep``
-      results into the buffers — without the restore, a re-run
-      double-reduces those segments and silently corrupts the sum;
-    * each attempt builds a fresh world, compiles via ``compiler(n, count,
-      itemsize, **compile_kwargs)`` (cached), arms ``fault_injector``
-      against the executor's rank proxies, and races completion against
-      ``timeout``;
-    * a watchdog timeout records a :class:`FailureDiagnosis` from the
-      executor's progress state (naming the suspected victim rank/link)
-      and retries up to ``max_retries`` times with exponential backoff
-      (accounted in simulated time), then raises
-      :class:`CollectiveTimeout` carrying the last diagnosis;
+      snapshotted up front and restored after every failed attempt, so a
+      re-run never double-reduces segments a partial attempt had already
+      merged;
+    * each attempt compiles via ``compiler(n, count, itemsize,
+      **compile_kwargs)`` (cached) for the current group and runs it on a
+      :class:`ScheduleExecutor` whose rank proxies the injector arms;
+    * a watchdog stall is diagnosed from the executor's progress state
+      (naming the suspected victim rank/link) and retried;
     * a crash surfaces as :class:`RankFailure`.  With ``repair=False``
       (default) the failure propagates — policy stays with the caller.
-      With ``repair=True`` the diagnosed victim is repaired *surgically*:
-      its buffer and snapshot are dropped, the collective is recompiled
-      for the survivor group, and the same guarded attempt resumes from
-      the restored inputs.  Repairs consume no retry budget (a diagnosed
-      permanent loss is not a suspected transient) and are reported in
+      With ``repair=True`` the victim's buffer and snapshot are dropped
+      and the collective is recompiled for the survivor group.  Repairs
+      consume no retry budget and are reported in
       ``telemetry.repaired_ranks``.
 
     Returns ``(buffers, telemetry)`` for the successful attempt;
     ``telemetry`` is updated in place even when an exception is raised, so
     callers can account partial attempts.
     """
-    from repro.mpi.runner import build_world  # local import: avoids a cycle
-
     telemetry = telemetry if telemetry is not None else CollectiveTelemetry()
-    buffers = list(make_buffers())
-    snapshots = [b.extract() for b in buffers]
-    attempts = 0
-    backoff = retry_backoff
-    dirty = False  # buffers may hold partial results from a failed run
-    while True:
-        if dirty:
-            for buf, snap in zip(buffers, snapshots):
-                buf.copy_(snap)
-            dirty = False
-        n = len(buffers)
-        if n == 1:
-            return buffers, telemetry
-        engine, world, comm = build_world(n, topology=topology)
-        schedule = compiler(n, buffers[0].count, buffers[0].itemsize, **compile_kwargs)
-        executor = ScheduleExecutor(comm, schedule, buffers, tag=tag)
-        done = executor.launch()
-        mark = len(fault_injector.events) if fault_injector is not None else 0
-        if fault_injector is not None:
-            fault_injector.arm(engine, world, executor.rank_procs, iteration)
-        deadline = engine.timeout(timeout)
-        dirty = True
-        try:
-            engine.run(engine.any_of([done, deadline]))
-        except Interrupt as exc:
-            telemetry.sim_time += engine.now
-            if fault_injector is not None:
-                telemetry.fault_events.extend(fault_injector.events_since(mark))
-            cause = exc.cause
-            if isinstance(cause, RankFailure) and repair:
-                # Surgical repair: drop the diagnosed victim's buffer and
-                # snapshot, recompile for the survivor communicator, and
-                # resume within this guarded attempt.
-                telemetry.repaired_ranks.append(cause.rank)
-                del buffers[cause.rank]
-                del snapshots[cause.rank]
-                continue
-            if isinstance(cause, RankFailure):
-                raise cause from exc
-            raise
-        telemetry.sim_time += engine.now
-        if fault_injector is not None:
-            telemetry.fault_events.extend(fault_injector.events_since(mark))
-        if done.triggered:
-            return buffers, telemetry
-        # Watchdog fired first: diagnose the stall from the executor's
-        # progress state, then retry (transient fault suspected) with
-        # bounded exponential backoff (accounted in simulated time).
-        diagnosis = executor.diagnose(model=model, grace=deadline_grace)
-        telemetry.diagnoses.append(diagnosis)
-        attempts += 1
-        telemetry.retries += 1
-        if attempts > max_retries:
-            raise CollectiveTimeout(timeout, iteration, attempts, diagnosis)
-        telemetry.backoff += backoff
-        telemetry.sim_time += backoff
-        backoff *= 2
+    plane = _AllreducePlane(
+        compiler, list(make_buffers()), tag, model, deadline_grace,
+        compile_kwargs,
+    )
+    buffers = guard_attempts(
+        plane, timeout=timeout, max_retries=max_retries,
+        retry_backoff=retry_backoff, topology=topology,
+        fault_injector=fault_injector, iteration=iteration,
+        telemetry=telemetry, repair=repair,
+    )
+    return buffers, telemetry
 
 
 # -- compiler caching ---------------------------------------------------------

@@ -51,6 +51,7 @@ from repro.mpi.schedule import (
 )
 from repro.mpi.verify import allreduce_contract, train_step_contract, verify_schedule
 from repro.sim.engine import SimulationError
+from repro.utils.sampling import spread_sample
 
 __all__ = [
     "MUTATORS",
@@ -169,19 +170,11 @@ def _edit_step(schedule: Schedule, sid: int, suffix: str, **fields) -> Schedule:
     return _rebuild(schedule, steps, suffix)
 
 
-def _sample(candidates: list, per_op: int) -> list:
-    """Deterministic spread of up to ``per_op`` mutation sites."""
-    if len(candidates) <= per_op:
-        return candidates
-    stride = (len(candidates) - 1) / (per_op - 1) if per_op > 1 else 1
-    return [candidates[round(i * stride)] for i in range(per_op)]
-
-
 # -- mutation operators -------------------------------------------------------
 
 def _mut_drop_send(schedule: Schedule, per_op: int):
     """Drop a matched send/receive pair (lint stays balanced)."""
-    for snd, rcv in _sample(_message_edges(schedule), per_op):
+    for snd, rcv in spread_sample(_message_edges(schedule), per_op):
         yield Mutant(
             "drop-send", f"drop send {snd} and its matched recv {rcv}",
             _drop_steps(schedule, {snd, rcv}, f"drop{snd}"),
@@ -190,7 +183,7 @@ def _mut_drop_send(schedule: Schedule, per_op: int):
 
 def _mut_duplicate_send(schedule: Schedule, per_op: int):
     """Replay a matched pair: append a second send and a second receive."""
-    for snd, rcv in _sample(_message_edges(schedule), per_op):
+    for snd, rcv in spread_sample(_message_edges(schedule), per_op):
         steps = list(schedule.steps)
         s, r = schedule.steps[snd], schedule.steps[rcv]
         steps.append(dataclasses.replace(
@@ -219,7 +212,7 @@ def _mut_widen_range(schedule: Schedule, per_op: int):
             candidates.append((snd, rcv, "hi"))
         elif s.lo > 0 and r.lo > 0:
             candidates.append((snd, rcv, "lo"))
-    for snd, rcv, edge in _sample(candidates, per_op):
+    for snd, rcv, edge in spread_sample(candidates, per_op):
         s, r = schedule.steps[snd], schedule.steps[rcv]
         steps = list(schedule.steps)
         if edge == "hi":
@@ -251,7 +244,7 @@ def _mut_retarget_reduce(schedule: Schedule, per_op: int):
                 candidates.append((s.sid, 1))
             elif s.lo > 0:
                 candidates.append((s.sid, -1))
-    for sid, shift in _sample(candidates, per_op):
+    for sid, shift in spread_sample(candidates, per_op):
         s = schedule.steps[sid]
         yield Mutant(
             "retarget-reduce",
@@ -264,7 +257,7 @@ def _mut_retarget_reduce(schedule: Schedule, per_op: int):
 def _mut_drop_dep(schedule: Schedule, per_op: int):
     """Delete one dependency edge (may race or reorder matching)."""
     candidates = [s.sid for s in schedule.steps if s.deps]
-    for sid in _sample(candidates, per_op):
+    for sid in spread_sample(candidates, per_op):
         deps = schedule.steps[sid].deps
         yield Mutant(
             "drop-dep", f"drop dep {deps[0]} of step {sid}",
@@ -284,7 +277,7 @@ def _mut_swap_steps(schedule: Schedule, per_op: int):
             if type(schedule.steps[d]) is not type(s):
                 candidates.append((d, s.sid))
                 break
-    for a, b in _sample(candidates, per_op):
+    for a, b in spread_sample(candidates, per_op):
         sa, sb = schedule.steps[a], schedule.steps[b]
         steps = list(schedule.steps)
         steps[a] = dataclasses.replace(sb, sid=a, deps=sa.deps)
@@ -301,7 +294,7 @@ def _mut_reduce_to_copy(schedule: Schedule, per_op: int):
         s.sid for s in schedule.steps
         if isinstance(s, RecvReduceStep) and s.hi > s.lo
     ]
-    for sid in _sample(candidates, per_op):
+    for sid in spread_sample(candidates, per_op):
         s = schedule.steps[sid]
         steps = list(schedule.steps)
         steps[sid] = CopyStep(
@@ -319,7 +312,7 @@ def _mut_copy_to_reduce(schedule: Schedule, per_op: int):
         s.sid for s in schedule.steps
         if isinstance(s, CopyStep) and s.buf is not None and s.hi > s.lo
     ]
-    for sid in _sample(candidates, per_op):
+    for sid in spread_sample(candidates, per_op):
         s = schedule.steps[sid]
         steps = list(schedule.steps)
         steps[sid] = RecvReduceStep(
@@ -352,7 +345,7 @@ def _mut_drop_optim_dep(schedule: Schedule, per_op: int):
         )
         if comm_deps:
             candidates.append((s.sid, comm_deps))
-    for sid, comm_deps in _sample(candidates, per_op):
+    for sid, comm_deps in spread_sample(candidates, per_op):
         dropped = set(comm_deps)
         keep = tuple(d for d in schedule.steps[sid].deps if d not in dropped)
         yield Mutant(
@@ -378,7 +371,7 @@ def _mut_swap_compute_comm(schedule: Schedule, per_op: int):
             if _is_compute(schedule.steps[d]) != _is_compute(s):
                 candidates.append((d, s.sid))
                 break
-    for a, b in _sample(candidates, per_op):
+    for a, b in spread_sample(candidates, per_op):
         sa, sb = schedule.steps[a], schedule.steps[b]
         steps = list(schedule.steps)
         steps[a] = dataclasses.replace(sb, sid=a, deps=sa.deps)

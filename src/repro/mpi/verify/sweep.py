@@ -4,8 +4,9 @@ Three layers, composed by :func:`run_sweep`:
 
 * every registered allreduce compiler x rank counts x segment sizes,
   each proved against :func:`~repro.mpi.verify.contracts.allreduce_contract`
-  (memoized compilers that ignore ``segment_bytes`` return the same
-  schedule object, which is deduplicated rather than re-verified), plus
+  (a segment size that yields a schedule equal to one already proved at
+  that rank count — compilers that ignore ``segment_bytes``, or payloads
+  smaller than one segment — is deduplicated rather than re-verified), plus
   the unified training-step DAG of every algorithm
   (:func:`~repro.train.stepdag.compile_bucketed_step`, staged memory)
   proved against
@@ -83,14 +84,14 @@ def sweep_cases(
         compiler = ALLREDUCE_COMPILERS[name]
         for n in ranks:
             contract = allreduce_contract(n, count)
-            seen: set[int] = set()
+            seen: list[Schedule] = []
             for seg_kib in segment_kibs:
                 schedule = compiler(
                     n, count, itemsize, segment_bytes=seg_kib * 1024
                 )
-                if id(schedule) in seen:
-                    continue  # memoized: segment size ignored by this compiler
-                seen.add(id(schedule))
+                if schedule in seen:
+                    continue  # this segment size did not change the schedule
+                seen.append(schedule)
                 yield f"{name} n={n} seg={seg_kib}KiB", schedule, contract
             yield (
                 f"step[{name}] n={n} buckets=4",

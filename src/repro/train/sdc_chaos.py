@@ -38,6 +38,7 @@ from repro.models.nn import Dense, Flatten, Network, ReLU
 from repro.train.distributed import DistributedSGDTrainer
 from repro.train.injection import FaultPlan, sdc_flip
 from repro.train.schedule import WarmupStepSchedule
+from repro.utils.sampling import spread_sample
 
 __all__ = ["SDCChaosOutcome", "SDCChaosPoint", "SDCChaosReport",
            "sdc_chaos_points", "sdc_chaos_sweep"]
@@ -258,9 +259,6 @@ def sdc_chaos_sweep(
     max_points: int | None = None,
 ) -> SDCChaosReport:
     """Run every scripted-flip point plus the clean-path equivalence."""
-    points = sdc_chaos_points(smoke=smoke)
-    if max_points is not None and max_points < len(points):
-        stride = len(points) / max_points
-        points = [points[int(i * stride)] for i in range(max_points)]
+    points = spread_sample(sdc_chaos_points(smoke=smoke), max_points)
     outcomes = [run_sdc_point(point) for point in points]
     return SDCChaosReport(outcomes, clean_equivalent=_clean_equivalent())

@@ -1,4 +1,4 @@
-"""Shared utilities: units, deterministic RNG helpers, ASCII rendering."""
+"""Shared utilities: units, deterministic RNG helpers, sampling, ASCII rendering."""
 
 from repro.utils.units import (
     KB,
@@ -14,6 +14,7 @@ from repro.utils.units import (
     format_rate,
 )
 from repro.utils.rng import derive_seed, rng_for
+from repro.utils.sampling import spread_sample
 
 __all__ = [
     "KB",
@@ -29,4 +30,5 @@ __all__ = [
     "format_rate",
     "derive_seed",
     "rng_for",
+    "spread_sample",
 ]

@@ -182,6 +182,35 @@ def test_sdc_step_chaos_exit_codes(capsys, monkeypatch):
     assert main(["chaos", "--collective", "sdc-step"]) == 1
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_allreduce_chaos_rejects_max_points_below_one(capsys, cap):
+    code = main(
+        ["chaos", "--ranks", "2", "--algorithms", "ring", "--max-points", cap]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"sample cap must be >= 1, got {cap}" in captured.err
+    assert "total:" not in captured.out
+
+
+def test_shuffle_chaos_rejects_max_points_below_one(capsys):
+    code = main(
+        ["chaos", "--collective", "shuffle", "--ranks", "2", "--max-points", "0"]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "sample cap must be >= 1, got 0" in captured.err
+    assert "total:" not in captured.out
+
+
+def test_sdc_step_chaos_rejects_max_points_below_one(capsys):
+    code = main(["chaos", "--collective", "sdc-step", "--max-points", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "sample cap must be >= 1, got 0" in captured.err
+    assert "sdc chaos" not in captured.out
+
+
 def test_fleet_command(capsys):
     code, out = run_cli(
         capsys, "fleet", "--jobs", "3", "--steps", "3", "--events"

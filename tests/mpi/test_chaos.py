@@ -1,9 +1,9 @@
 """Tests for the exhaustive chaos sweep (repro.mpi.chaos).
 
-The full sweeps (every algorithm, every fault point, at 2 and 4 ranks)
-are ``slow``-marked so tier-1 stays fast; tier-1 still runs the smoke
-slice — one algorithm per structural family at 4 ranks — plus the unit
-tests of the enumeration itself.
+The full sweeps — every allreduce algorithm and the shuffle, every fault
+point, at 2 and 4 ranks — run in tier-1, so every fault point of both
+planes goes through the one guarded retry loop on every change.  They sit
+beside the smoke slice and the unit tests of the enumeration itself.
 """
 
 import numpy as np
@@ -126,7 +126,6 @@ def test_smoke_sweep_at_4_ranks():
     assert f"total: {report.n_points} points, 0 failed" in report.format()
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("name", ALL_ALGORITHMS)
 def test_full_sweep_at_2_ranks(name):
     report = chaos_sweep([name], n_ranks=(2,))
@@ -134,7 +133,6 @@ def test_full_sweep_at_2_ranks(name):
     assert report.all_ok, report.format()
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("name", ALL_ALGORITHMS)
 def test_full_sweep_at_4_ranks(name):
     report = chaos_sweep([name], n_ranks=(4,))
@@ -161,17 +159,11 @@ def test_chaos_point_str_mentions_everything():
 # -- shuffle (data-plane) chaos -----------------------------------------------
 
 
-from repro.mpi.chaos import (  # noqa: E402
-    SHUFFLE_KINDS,
-    enumerate_shuffle_points,
-    run_shuffle_point,
-    shuffle_chaos_sweep,
-    shuffle_reference_run,
-)
+from repro.mpi.chaos import SHUFFLE_KINDS  # noqa: E402
 
 
 def test_shuffle_reference_run_records_boundaries_and_sends():
-    ref = shuffle_reference_run(4)
+    ref = reference_run("shuffle", 4)
     assert ref.algorithm == "shuffle"
     assert ref.elapsed > 0
     for r in range(4):
@@ -181,7 +173,7 @@ def test_shuffle_reference_run_records_boundaries_and_sends():
 
 
 def test_enumerate_shuffle_points_covers_every_rank_and_kind():
-    points, ref = enumerate_shuffle_points(4)
+    points, ref = enumerate_points("shuffle", 4)
     assert {p.kind for p in points} == set(SHUFFLE_KINDS)
     assert all(p.algorithm == "shuffle" for p in points)
     for r in range(4):
@@ -194,13 +186,13 @@ def test_enumerate_shuffle_points_covers_every_rank_and_kind():
 
 def test_enumerate_shuffle_points_rejects_unknown_kind():
     with pytest.raises(ValueError, match="unknown chaos kind"):
-        enumerate_shuffle_points(4, kinds=("degrade",))
+        enumerate_points("shuffle", 4, kinds=("degrade",))
 
 
 def test_shuffle_crash_point_repairs_and_conserves():
-    points, ref = enumerate_shuffle_points(4, kinds=("crash",))
+    points, ref = enumerate_points("shuffle", 4, kinds=("crash",))
     point = [p for p in points if p.rank == 2 and p.at > 0][0]
-    outcome = run_shuffle_point(point, reference=ref)
+    outcome = run_point(point, reference=ref)
     assert outcome.ok, outcome.detail
     assert outcome.fired
     assert outcome.repairs == 1
@@ -209,9 +201,9 @@ def test_shuffle_crash_point_repairs_and_conserves():
 
 
 def test_shuffle_corrupt_point_retries_and_names_victim():
-    points, ref = enumerate_shuffle_points(4, kinds=("corrupt",))
+    points, ref = enumerate_points("shuffle", 4, kinds=("corrupt",))
     point = [p for p in points if p.rank == 1][0]
-    outcome = run_shuffle_point(point, reference=ref)
+    outcome = run_point(point, reference=ref)
     assert outcome.ok, outcome.detail
     assert outcome.fired
     assert outcome.repairs == 0
@@ -221,23 +213,21 @@ def test_shuffle_corrupt_point_retries_and_names_victim():
 
 
 def test_shuffle_smoke_sweep_at_2_ranks():
-    report = shuffle_chaos_sweep((2,), max_points_per_rank=3)
+    report = chaos_sweep(["shuffle"], (2,), max_points_per_rank=3)
     assert report.n_points > 0
     assert report.all_ok, report.format()
     assert all(o.fired for o in report.outcomes)
 
 
-@pytest.mark.slow
 def test_shuffle_full_sweep_at_2_ranks():
-    report = shuffle_chaos_sweep((2,))
+    report = chaos_sweep(["shuffle"], (2,))
     assert report.n_points > 0
     assert report.all_ok, report.format()
     assert all(o.fired for o in report.outcomes)
 
 
-@pytest.mark.slow
 def test_shuffle_full_sweep_at_4_ranks():
-    report = shuffle_chaos_sweep((4,))
+    report = chaos_sweep(["shuffle"], (4,))
     assert report.n_points > 0
     assert report.all_ok, report.format()
     assert all(o.fired for o in report.outcomes)

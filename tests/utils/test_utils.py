@@ -13,6 +13,7 @@ from repro.utils import (
     format_duration,
     format_rate,
     rng_for,
+    spread_sample,
 )
 
 
@@ -67,6 +68,28 @@ def test_rng_for_independent_streams():
 def test_derive_seed_in_range(seed, tag):
     s = derive_seed(seed, tag)
     assert 0 <= s < 2**63
+
+
+def test_spread_sample_even_deterministic_picks():
+    seq = tuple(range(18))
+    assert spread_sample(seq, 4) == [0, 6, 11, 17]  # first and last kept
+    assert spread_sample(seq, 1) == [0]
+    assert spread_sample(seq, None) == list(seq)
+    assert spread_sample(seq, 40) == list(seq)
+    assert spread_sample((), 3) == []
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_spread_sample_rejects_cap_below_one(cap):
+    with pytest.raises(ValueError, match=f"sample cap must be >= 1, got {cap}"):
+        spread_sample(range(5), cap)
+
+
+@given(n=st.integers(0, 60), cap=st.integers(1, 70))
+def test_spread_sample_picks_distinct_in_order(n, cap):
+    picks = spread_sample(list(range(n)), cap)
+    assert len(picks) == min(n, cap)
+    assert picks == sorted(set(picks))
 
 
 def test_public_package_api():
