@@ -12,10 +12,15 @@ fixed-latency model could not show.
 
 The fabric is driven by the discrete-event :class:`~repro.sim.Engine`: flow
 completions are events, and rate changes reschedule the next completion.
+Each reallocation runs one progressive-filling pass, which picks every
+round's bottleneck link from a lazy heap rather than rescanning all used
+links, and schedules one plain timeout for the earliest completion; a later
+pass supersedes it through a generation number instead of cancelling it.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -106,8 +111,8 @@ class Fabric:
         Returns an event that triggers (value = the :class:`Flow`) when the
         last byte arrives.  Zero-byte transfers still pay latency/overhead.
         """
-        if nbytes < 0:
-            raise ValueError(f"nbytes must be >= 0, got {nbytes}")
+        if not 0 <= nbytes < math.inf:
+            raise ValueError(f"nbytes must be finite and >= 0, got {nbytes}")
         ev = self.engine.event()
         self.stats.transfers_started += 1
         fid = self._next_fid
@@ -140,8 +145,10 @@ class Fabric:
         wire: progress at the old rates is accounted first, then the max-min
         shares are recomputed.  ``factor == 1.0`` removes the degradation.
         """
-        if factor <= 0:
-            raise ValueError(f"link scale factor must be positive, got {factor}")
+        if not 0 < factor < math.inf:
+            raise ValueError(
+                f"link scale factor must be finite and positive, got {factor}"
+            )
         n_links = len(self.topology.links)
         for li in link_indices:
             if not 0 <= li < n_links:
@@ -206,7 +213,12 @@ class Fabric:
         self._last_update = now
 
     def _reallocate(self) -> None:
-        """Recompute max-min fair rates and reschedule the next completion."""
+        """Recompute max-min fair rates and schedule the next completion.
+
+        One plain timeout carries the timer generation as its value; a later
+        reallocation bumps the generation, so a superseded timer that still
+        fires finds a mismatch and does nothing.
+        """
         self._compute_maxmin_rates()
         self._timer_generation += 1
         if not self._active:
@@ -214,13 +226,11 @@ class Fabric:
         horizon = min(
             (f.remaining / f.rate) for f in self._active.values() if f.rate > 0
         )
-        horizon = max(horizon, 0.0)
-        generation = self._timer_generation
-        self.engine.process(self._completion_timer(horizon, generation))
+        timer = self.engine.timeout(max(horizon, 0.0), self._timer_generation)
+        timer.callbacks.append(self._completion_timer)
 
-    def _completion_timer(self, delay: float, generation: int):
-        yield self.engine.timeout(delay)
-        if generation != self._timer_generation:
+    def _completion_timer(self, timer: Event) -> None:
+        if timer.value != self._timer_generation:
             return  # superseded by a later reallocation
         self._update_progress()
         finished = [
@@ -237,53 +247,72 @@ class Fabric:
     def _compute_maxmin_rates(self) -> None:
         """Progressive-filling max-min fair allocation over active flows.
 
-        Per-link unfixed-flow counts are maintained incrementally, so each
-        pass costs O(bottlenecks * used_links + flows * path_length).
+        Each round saturates the link with the smallest fair share
+        ``residual / unfixed`` and fixes that link's unfixed flows at the
+        share.  Used links are numbered in first-seen order (active flows in
+        insertion order, then path order), and the bottleneck comes from a
+        lazy min-heap keyed ``(share, number)``: an entry is live only while
+        its key still equals the link's current share, and every link a
+        round touches gets one fresh entry.  The number breaks exact ties the
+        way a first-seen scan would, and flows are fixed in that order with a
+        sequential clamp at zero, so every rate is the same float a full
+        rescan gives.  A pass costs O(flows * path_length * log(used_links)).
         """
         flows = list(self._active.values())
         if not flows:
             return
-        residual: dict[int, float] = {}
-        link_flows: dict[int, list[Flow]] = {}
-        for flow in flows:
+        links = self.topology.links
+        scale = self._link_scale
+        number: dict[int, int] = {}  # link index -> first-seen number
+        residual: list[float] = []
+        members: list[list[int]] = []  # positions in ``flows``, per link
+        paths: list[list[int]] = []  # each flow's path as link numbers
+        for k, flow in enumerate(flows):
             flow.rate = 0.0
+            path = []
             for li in flow.path:
-                if li not in residual:
-                    residual[li] = self.link_bandwidth(li)
-                    link_flows[li] = []
-                link_flows[li].append(flow)
-        unfixed_count = {li: len(fl) for li, fl in link_flows.items()}
-        fixed: set[int] = set()
+                j = number.get(li)
+                if j is None:
+                    j = number[li] = len(residual)
+                    residual.append(links[li].params.bandwidth * scale.get(li, 1.0))
+                    members.append([k])
+                else:
+                    members[j].append(k)
+                path.append(j)
+            paths.append(path)
+        unfixed = [len(m) for m in members]
+        heap = [(r / n, j) for j, (r, n) in enumerate(zip(residual, unfixed))]
+        heapq.heapify(heap)
+        fixed = bytearray(len(flows))
         n_unfixed = len(flows)
         cap = self.per_flow_cap
-
-        def fix(flow: Flow, rate: float) -> None:
-            nonlocal n_unfixed
-            flow.rate = rate
-            fixed.add(flow.fid)
-            n_unfixed -= 1
-            for li in flow.path:
-                residual[li] = max(0.0, residual[li] - rate)
-                unfixed_count[li] -= 1
-
         while n_unfixed:
-            best_link = -1
-            best_share = math.inf
-            for li, cnt in unfixed_count.items():
-                if cnt <= 0:
-                    continue
-                share = residual[li] / cnt
-                if share < best_share:
-                    best_share = share
-                    best_link = li
-            if best_link < 0:
+            if not heap:
                 raise RuntimeError("active flow with no links (fabric bug)")
-            if best_share >= cap:
+            share, j = heapq.heappop(heap)
+            n = unfixed[j]
+            if not n or residual[j] / n != share:
+                continue  # stale entry: the link's share moved since the push
+            if share >= cap:
                 # Every remaining flow is rail-limited, not link-limited.
-                for flow in flows:
-                    if flow.fid not in fixed:
-                        fix(flow, cap)
+                for k, flow in enumerate(flows):
+                    if not fixed[k]:
+                        flow.rate = cap
                 break
-            for flow in list(link_flows[best_link]):
-                if flow.fid not in fixed:
-                    fix(flow, best_share)
+            touched: set[int] = set()
+            for k in members[j]:
+                if fixed[k]:
+                    continue
+                fixed[k] = 1
+                flows[k].rate = share
+                n_unfixed -= 1
+                path = paths[k]
+                for i in path:
+                    left = residual[i] - share
+                    residual[i] = left if left > 0.0 else 0.0
+                    unfixed[i] -= 1
+                touched.update(path)
+            for i in touched:
+                n = unfixed[i]
+                if n:
+                    heapq.heappush(heap, (residual[i] / n, i))

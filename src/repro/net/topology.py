@@ -40,6 +40,7 @@ class Topology:
     links: list[Link] = field(default_factory=list)
     _adjacency: dict[str, list[int]] = field(default_factory=dict)
     _route_cache: dict[tuple[int, int], tuple[int, ...]] = field(default_factory=dict)
+    _dist_cache: dict[str, dict[str, int]] = field(default_factory=dict)
 
     def host(self, rank: int) -> str:
         """Vertex name of host ``rank``."""
@@ -53,6 +54,7 @@ class Topology:
         self.links.append(Link(idx, src, dst, params))
         self._adjacency.setdefault(src, []).append(idx)
         self._route_cache.clear()
+        self._dist_cache.clear()
         return idx
 
     def add_cable(self, a: str, b: str, params: LinkParams) -> tuple[int, int]:
@@ -87,15 +89,16 @@ class Topology:
         self._route_cache[key] = path
         return path
 
-    def _bfs_route(
-        self, src: str, dst: str, ecmp_key: tuple[int, int]
-    ) -> tuple[int, ...]:
-        # BFS computing hop distance from dst (reverse graph), then walk
-        # forward choosing among minimal-distance next hops by ECMP hash.
+    def _hops_to(self, dst: str) -> dict[str, int]:
+        """Hop distance from every vertex to ``dst`` (BFS on the reverse
+        graph), cached per destination until the next :meth:`add_link`."""
+        dist = self._dist_cache.get(dst)
+        if dist is not None:
+            return dist
         rev: dict[str, list[Link]] = {}
         for link in self.links:
             rev.setdefault(link.dst, []).append(link)
-        dist: dict[str, int] = {dst: 0}
+        dist = {dst: 0}
         queue = deque([dst])
         while queue:
             v = queue.popleft()
@@ -103,6 +106,15 @@ class Topology:
                 if link.src not in dist:
                     dist[link.src] = dist[v] + 1
                     queue.append(link.src)
+        self._dist_cache[dst] = dist
+        return dist
+
+    def _bfs_route(
+        self, src: str, dst: str, ecmp_key: tuple[int, int]
+    ) -> tuple[int, ...]:
+        # Walk forward from src, choosing among next hops one step closer to
+        # dst by ECMP hash.
+        dist = self._hops_to(dst)
         if src not in dist:
             raise ValueError(f"no route from {src} to {dst} in topology {self.name!r}")
         path: list[int] = []

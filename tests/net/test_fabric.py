@@ -66,6 +66,20 @@ def test_negative_bytes_rejected():
         fab.transfer(0, 1, -1.0)
 
 
+@pytest.mark.parametrize("nbytes", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_non_finite_bytes_rejected(nbytes):
+    _eng, fab = make_fabric()
+    with pytest.raises(ValueError, match="finite"):
+        fab.transfer(0, 1, nbytes)
+
+
+@pytest.mark.parametrize("factor", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_non_finite_link_scale_rejected(factor):
+    _eng, fab = make_fabric()
+    with pytest.raises(ValueError, match="finite"):
+        fab.scale_links([0], factor)
+
+
 def test_disjoint_flows_do_not_contend():
     eng, fab = make_fabric(4)
     e1 = fab.transfer(0, 1, 100.0)

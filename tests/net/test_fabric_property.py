@@ -1,5 +1,7 @@
 """Property-based tests for the flow fabric (hypothesis)."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -107,3 +109,127 @@ def test_fabric_deterministic(seed):
         return finish
 
     assert simulate() == simulate()
+
+
+# -- max-min optimality certificate --------------------------------------------
+#
+# A feasible allocation is max-min fair iff every flow either sits at the
+# per-flow cap or crosses a saturated link on which no other flow is faster.
+# The check below uses only the topology, the scale factors the test itself
+# applied and the rates the fabric reports, never the solver.
+
+_REL = 1e-9
+
+
+def _audit_every_reallocation(fab, cap, scale):
+    """Wrap ``fab._reallocate`` so the certificate is checked after each
+    pass; returns the list of simulated times at which it was checked."""
+    checked = []
+    solve = fab._reallocate
+
+    def audited():
+        solve()
+        _assert_maxmin_certificate(fab, cap, scale)
+        checked.append(fab.engine.now)
+
+    fab._reallocate = audited
+    return checked
+
+
+def _assert_maxmin_certificate(fab, cap, scale):
+    links = fab.topology.links
+    load: dict[int, float] = {}
+    fastest: dict[int, float] = {}
+    for flow in fab.active_flows:
+        assert flow.rate <= cap * (1 + _REL)
+        for li in flow.path:
+            load[li] = load.get(li, 0.0) + flow.rate
+            fastest[li] = max(fastest.get(li, 0.0), flow.rate)
+
+    def capacity(li):
+        return links[li].params.bandwidth * scale.get(li, 1.0)
+
+    for li, total in load.items():
+        assert total <= capacity(li) * (1 + _REL), f"link {li} oversubscribed"
+    for flow in fab.active_flows:
+        if flow.rate >= cap * (1 - _REL):
+            continue
+        assert any(
+            load[li] >= capacity(li) * (1 - _REL)
+            and flow.rate >= fastest[li] * (1 - _REL)
+            for li in flow.path
+        ), f"flow {flow.fid} at {flow.rate} has no bottleneck link"
+
+
+def _topology(kind):
+    if kind == "star":
+        return star(8, FAST)
+    if kind == "fat-tree":
+        return fat_tree(16, FAST, hosts_per_leaf=4)
+    return fat_tree(16, FAST, hosts_per_leaf=4, oversubscription=2.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["star", "fat-tree", "fat-tree-oversubscribed"]),
+    transfers=st.lists(
+        st.tuples(
+            st.integers(0, 15),         # src (mod hosts)
+            st.integers(0, 15),         # dst (mod hosts)
+            st.floats(1.0, 500.0),      # bytes
+            st.floats(0.0, 5.0),        # start offset
+        ),
+        min_size=1,
+        max_size=24,
+    ),
+    cap=st.one_of(st.just(math.inf), st.floats(5.0, 150.0)),
+    rescales=st.lists(
+        st.tuples(
+            st.floats(0.0, 6.0),        # when
+            st.integers(0, 1 << 16),    # link (mod links)
+            st.sampled_from([0.25, 0.5, 1.0, 1.5, 3.0]),
+        ),
+        max_size=6,
+    ),
+)
+def test_rates_carry_maxmin_certificate(kind, transfers, cap, rescales):
+    eng = Engine()
+    topo = _topology(kind)
+    fab = Fabric(eng, topo, per_flow_cap=cap)
+    scale: dict[int, float] = {}
+    checked = _audit_every_reallocation(fab, cap, scale)
+    n = topo.n_hosts
+
+    def launch(src, dst, nbytes, offset):
+        yield eng.timeout(offset)
+        yield fab.transfer(src, dst, nbytes)
+
+    def rescale(when, li, factor):
+        yield eng.timeout(when)
+        if factor == 1.0:
+            scale.pop(li, None)
+        else:
+            scale[li] = factor
+        fab.scale_links([li], factor)
+
+    for src, dst, nbytes, offset in transfers:
+        eng.process(launch(src % n, dst % n, nbytes, offset))
+    for when, link, factor in rescales:
+        eng.process(rescale(when, link % len(topo.links), factor))
+    eng.run()
+    assert fab.stats.transfers_completed == len(transfers)
+    if any(src % n != dst % n for src, dst, _, _ in transfers):
+        assert checked
+
+
+@pytest.mark.parametrize("kind", ["star", "fat-tree"])
+def test_symmetric_all_to_all_ties_carry_maxmin_certificate(kind):
+    """Equal bandwidths and equal loads: every link's share ties exactly."""
+    eng = Engine()
+    topo = _topology(kind)
+    fab = Fabric(eng, topo)
+    checked = _audit_every_reallocation(fab, math.inf, {})
+    n = topo.n_hosts
+    evs = [fab.transfer(a, b, 100.0) for a in range(n) for b in range(n) if a != b]
+    eng.run(eng.all_of(evs))
+    assert checked

@@ -1,8 +1,11 @@
 """Unit tests for topologies and routing."""
 
+from collections import deque
+
 import pytest
 
 from repro.net import LinkParams, NetworkParams, fat_tree, full_mesh, ring, star
+from repro.utils.rng import derive_seed
 
 SIMPLE = NetworkParams(
     host_link=LinkParams(bandwidth=100.0, latency=1e-3),
@@ -45,6 +48,52 @@ def test_route_is_cached_and_deterministic():
     # fresh topology gives identical routing
     topo2 = fat_tree(16, SIMPLE, hosts_per_leaf=4)
     assert topo2.route(0, 9) == p1
+
+
+def _uncached_route(topo, src, dst):
+    """Shortest path with the same ECMP rule, from a fresh reverse BFS."""
+    into = {}
+    for link in topo.links:
+        into.setdefault(link.dst, []).append(link)
+    target = topo.host(dst)
+    dist = {target: 0}
+    queue = deque([target])
+    while queue:
+        v = queue.popleft()
+        for link in into.get(v, ()):
+            if link.src not in dist:
+                dist[link.src] = dist[v] + 1
+                queue.append(link.src)
+    path, vertex = [], topo.host(src)
+    while vertex != target:
+        nxt = [
+            link for link in topo.out_links(vertex)
+            if dist.get(link.dst, -1) == dist[vertex] - 1
+        ]
+        chosen = nxt[derive_seed(0, (src, dst), vertex, len(path)) % len(nxt)]
+        path.append(chosen.index)
+        vertex = chosen.dst
+    return tuple(path)
+
+
+@pytest.mark.parametrize(
+    "topo", [fat_tree(64, SIMPLE), ring(8, SIMPLE)], ids=["fat_tree64", "ring8"]
+)
+def test_cached_routes_match_uncached_bfs(topo):
+    n = topo.n_hosts
+    for src in range(n):
+        for dst in range(n):
+            if src != dst:
+                assert topo.route(src, dst) == _uncached_route(topo, src, dst)
+
+
+def test_add_link_invalidates_route_distances():
+    topo = ring(8, SIMPLE)
+    assert len(topo.route(0, 4)) == 4
+    assert len(topo.route(1, 4)) == 3  # distances to h4 now cached
+    topo.add_link("h0", "h4", SIMPLE.host_link)
+    assert len(topo.route(0, 4)) == 1
+    assert topo.route(1, 4) == _uncached_route(topo, 1, 4)
 
 
 def test_fat_tree_hop_counts():
