@@ -15,6 +15,8 @@ from repro.analysis import (
     table2_rows,
 )
 from repro.analysis.compare import improvement_pct
+from repro.cluster.specs import MINSKY_NODE
+from repro.train.pipeline import _allreduce_time
 from repro.utils.ascii import render_series, render_table
 
 
@@ -39,6 +41,15 @@ def test_table2_has_measured_row():
     assert rows[-1]["batch"] == 8192
     text = render_table2(rows)
     assert "Goyal" in text and "This reproduction" in text
+    # The measured row simulated the headline 256-GPU allreduce (64 nodes,
+    # ResNet-50's 102,228,128 gradient bytes); read it back from the cache
+    # and pin every bit of it.
+    hits = _allreduce_time.cache_info().hits
+    elapsed = _allreduce_time(
+        64, 102228128, "multicolor", MINSKY_NODE.host_reduce_bandwidth
+    )
+    assert _allreduce_time.cache_info().hits == hits + 1
+    assert elapsed.hex() == "0x1.00a550e25c83ap-6"
 
 
 def test_fig6_multicolor_fastest():
